@@ -3,29 +3,23 @@
 
 The immersed crosscap number of every member is 1, while the embedded
 3- and 4-dimensional crosscap numbers are k and k-1, so both gaps grow
-without bound.  Usage:
+without bound.  The table is printed by ``crosscap gaps``.  Usage:
 
     python scripts/reproduce_gap_table.py --k-max 10
 """
 
 import argparse
+import sys
 
-from crosscap import gap_table
+from crosscap import cli
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--k-max", type=int, default=10)
     args = parser.parse_args()
-
-    rows = gap_table(args.k_max)
-    print(f"{'k':>3} {'gamma_I':>8} {'gamma_3':>8} {'gamma_4':>8} {'gap_3I':>7} {'gap_4I':>7}")
-    for k, row in zip(range(2, args.k_max + 1), rows):
-        print(
-            f"{k:>3} {row.gamma_i.value:>8} {row.gamma_3.value:>8} "
-            f"{row.gamma_4.value:>8} {row.gap_3i:>7} {row.gap_4i:>7}"
-        )
+    return cli.main(["gaps", "--k-max", str(args.k_max)])
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -26,6 +26,7 @@ from .knots import (
     normalize_torus,
     parse_knot,
     require_valid,
+    winding_is_even,
 )
 
 
@@ -133,20 +134,17 @@ def gamma_I(k: KnotPresentation) -> InvariantValue:
     require_valid(k)
     if is_trivial(k):
         return InvariantValue.known(0, _UNKNOT_PROV)
+    if isinstance(k, ExternalKnot):
+        if k.flags.hyperbolic:
+            return InvariantValue.lower_bound(2, _HYPERBOLIC_PROV)
+        return InvariantValue.unknown("no structural information about this knot")
     if isinstance(k, TorusKnot):
-        norm = normalize_torus(k.params)
-        assert norm is not None
-        if norm.winding % 2 == 0 or norm.meridional % 2 == 0:
-            return InvariantValue.known(1, _EVEN_TORUS_PROV)
-        return InvariantValue.lower_bound(2, _ODD_TORUS_PROV)
-    if isinstance(k, CableKnot):
-        if k.params.winding % 2 == 0:
-            return InvariantValue.known(1, _EVEN_CABLE_PROV)
-        return InvariantValue.lower_bound(2, _ODD_CABLE_PROV)
-    assert isinstance(k, ExternalKnot)
-    if k.flags.hyperbolic:
-        return InvariantValue.lower_bound(2, _HYPERBOLIC_PROV)
-    return InvariantValue.unknown("no structural information about this knot")
+        even_prov, odd_prov = _EVEN_TORUS_PROV, _ODD_TORUS_PROV
+    else:
+        even_prov, odd_prov = _EVEN_CABLE_PROV, _ODD_CABLE_PROV
+    if winding_is_even(k):
+        return InvariantValue.known(1, even_prov)
+    return InvariantValue.lower_bound(2, odd_prov)
 
 
 def seifert_genus_torus(t: TorusParams) -> InvariantValue:

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, pi
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -153,13 +154,35 @@ class ImmersedMobiusMesh:
     def triangle_count(self) -> int:
         return len(self.triangles)
 
+    @cached_property
+    def _edge_table(self) -> _EdgeTable:
+        return _build_edge_table(self.triangles, self.vertex_count)
 
-def _sorted_edges_with_counts(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    edges = np.concatenate(
-        [triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]]
+
+class _EdgeTable(NamedTuple):
+    """Undirected edges of a triangle list, keyed as lo * V + hi; an index
+    outside [0, V) would alias another edge, so the builder rejects it.
+    Half-edge k of a triangle runs from its corner k to corner (k + 1) % 3."""
+
+    edges: np.ndarray    # (E, 2) int32 (lo, hi) pairs in lexicographic order
+    counts: np.ndarray   # (E,) int32 triangles on each edge
+    edge_of: np.ndarray  # (F, 3) int32 edge index of each half-edge
+    forward: np.ndarray  # (F, 3) bool, half-edge runs from lo to hi
+
+
+def _build_edge_table(triangles: np.ndarray, vertex_count: int) -> _EdgeTable:
+    if len(triangles) and (triangles.min() < 0 or triangles.max() >= vertex_count):
+        raise MeshStructureError("triangle index out of range")
+    tails = triangles.astype(np.int64)
+    heads = np.roll(tails, -1, axis=1)
+    lo, hi = np.minimum(tails, heads), np.maximum(tails, heads)
+    keys, edge_of, counts = np.unique(
+        (lo * vertex_count + hi).ravel(), return_inverse=True, return_counts=True
     )
-    edges = np.sort(edges, axis=1)
-    return np.unique(edges, axis=0, return_counts=True)
+    # int32 halves the table, which lives as long as its mesh.
+    edges = np.stack(np.divmod(keys, vertex_count), axis=1).astype(np.int32)
+    edge_of = edge_of.reshape(-1, 3).astype(np.int32)
+    return _EdgeTable(edges, counts.astype(np.int32), edge_of, tails < heads)
 
 
 def build_mobius(s: SweepParams) -> ImmersedMobiusMesh:
@@ -246,19 +269,20 @@ def build_mobius(s: SweepParams) -> ImmersedMobiusMesh:
     column_of = pass_of_chord[quads_j] * n_theta + quads_i
     triangle_columns = np.repeat(column_of, 2).astype(np.int32)
 
-    edges, counts = _sorted_edges_with_counts(triangles)
-    boundary_edges = edges[counts == 1].astype(np.int32)
-
-    return ImmersedMobiusMesh(
+    table = _build_edge_table(triangles, len(vertices))
+    mesh = ImmersedMobiusMesh(
         vertices=vertices,
         domain_theta=i_flat.astype(np.int32),
         domain_chord=j_flat.astype(np.int32),
         domain_pos=pos,
         triangles=triangles,
-        boundary_edges=boundary_edges,
+        boundary_edges=table.edges[table.counts == 1],
         triangle_columns=triangle_columns,
         strip_length=p * n_theta,
     )
+    # Seed the cached property so the table is built once per mesh.
+    mesh.__dict__["_edge_table"] = table
+    return mesh
 
 
 @dataclass(frozen=True)
@@ -283,21 +307,15 @@ class MeshVerificationReport:
         }
 
 
-def _check_structure(mesh: ImmersedMobiusMesh) -> tuple[np.ndarray, np.ndarray]:
-    tris = mesh.triangles
-    if len(tris) and (tris.min() < 0 or tris.max() >= mesh.vertex_count):
-        raise MeshStructureError("triangle index out of range")
-    degenerate = (
-        (tris[:, 0] == tris[:, 1])
-        | (tris[:, 1] == tris[:, 2])
-        | (tris[:, 2] == tris[:, 0])
-    )
-    if degenerate.any():
+def _check_structure(mesh: ImmersedMobiusMesh) -> None:
+    edges, counts, _, _ = mesh._edge_table  # rejects indices out of range
+    if (edges[:, 0] == edges[:, 1]).any():
         raise MeshStructureError("degenerate triangle (repeated vertex)")
-    edges, counts = _sorted_edges_with_counts(tris)
-    if len(counts) and counts.max() > 2:
+    if (counts > 2).any():
         raise MeshStructureError("edge shared by more than two triangles")
-    return edges, counts
+    stored = {tuple(e) for e in np.sort(mesh.boundary_edges, axis=1).tolist()}
+    if stored != {tuple(e) for e in edges[counts == 1].tolist()}:
+        raise MeshStructureError("stored boundary edges disagree with incidence")
 
 
 def boundary_cycles(mesh: ImmersedMobiusMesh) -> list[list[int]]:
@@ -332,48 +350,36 @@ def boundary_cycles(mesh: ImmersedMobiusMesh) -> list[list[int]]:
 
 def euler_characteristic(mesh: ImmersedMobiusMesh) -> int:
     """V - E + F over the vertices actually referenced by triangles."""
-    edges, _ = _sorted_edges_with_counts(mesh.triangles)
     vertex_count = len(np.unique(mesh.triangles))
-    return int(vertex_count - len(edges) + len(mesh.triangles))
+    return int(vertex_count - len(mesh._edge_table.counts) + len(mesh.triangles))
 
 
 def is_orientable(mesh: ImmersedMobiusMesh) -> bool:
-    """Propagate a coherent orientation across shared edges; a contradiction
-    anywhere means the abstract surface is nonorientable."""
-    edge_to_tris: dict[tuple[int, int], list[tuple[int, bool]]] = {}
-    tris = mesh.triangles
-    for t in range(len(tris)):
-        a, b, c = (int(v) for v in tris[t])
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (u, v) if u < v else (v, u)
-            edge_to_tris.setdefault(key, []).append((t, u < v))
-
-    flags = np.zeros(len(tris), dtype=np.int8)
-    tri_edges: list[list[tuple[tuple[int, int], bool]]] = [[] for _ in range(len(tris))]
-    for key, hits in edge_to_tris.items():
-        for t, forward in hits:
-            tri_edges[t].append((key, forward))
-
-    for seed in range(len(tris)):
-        if flags[seed]:
-            continue
-        flags[seed] = 1
-        stack = [seed]
-        while stack:
-            t = stack.pop()
-            for key, forward in tri_edges[t]:
-                for other, other_forward in edge_to_tris[key]:
-                    if other == t:
-                        continue
-                    # Consistently oriented neighbors traverse a shared
-                    # edge in opposite directions.
-                    needed = -flags[t] if forward == other_forward else flags[t]
-                    if flags[other] == 0:
-                        flags[other] = needed
-                        stack.append(other)
-                    elif flags[other] != needed:
-                        return False
-    return True
+    """True iff the orientation double cover, two sheets per triangle, keeps
+    every triangle's two sheets in different components.  Neighbors across
+    an edge traversed in opposite directions agree, so the cover joins their
+    equal sheets there and their opposite sheets otherwise."""
+    table = mesh._edge_table
+    if (table.counts > 2).any():
+        return False  # three sheets on one edge cannot pairwise disagree
+    n = mesh.triangle_count
+    half = np.argsort(table.edge_of, axis=None, kind="stable")
+    first = (np.cumsum(table.counts) - table.counts)[table.counts == 2]
+    h1, h2 = half[first], half[first + 1]
+    cross = np.where(table.forward.flat[h1] == table.forward.flat[h2], n, 0)
+    a = np.concatenate([h1 // 3, h1 // 3 + n])
+    b = np.concatenate([h2 // 3 + cross, h2 // 3 + n - cross])
+    root = np.arange(2 * n)
+    while True:
+        ra, rb = root[a], root[b]
+        apart = ra != rb
+        if not apart.any():
+            return not (root[:n] == root[n:]).any()
+        # Hook roots onto smaller roots across edges, then jump pointers
+        # until every node points at a root again.
+        root[np.maximum(ra, rb)[apart]] = np.minimum(ra, rb)[apart]
+        while not np.array_equal(root[root], root):
+            root = root[root]
 
 
 def _wrap_angle(delta: np.ndarray) -> np.ndarray:
@@ -408,7 +414,7 @@ def boundary_winding_angles(
 
 
 def max_edge_length(mesh: ImmersedMobiusMesh) -> float:
-    edges, _ = _sorted_edges_with_counts(mesh.triangles)
+    edges = mesh._edge_table.edges
     diffs = mesh.vertices[edges[:, 0]] - mesh.vertices[edges[:, 1]]
     return float(np.sqrt((diffs * diffs).sum(axis=1)).max())
 
@@ -557,11 +563,12 @@ def verify_mesh(
     """Certify the band's topology and the location of its double points.
 
     Checks run on the abstract mesh (Euler characteristic, boundary cycle
-    count, orientation propagation) and on the ambient geometry (boundary
-    winding class, sheet count through the core, self-intersection scan).
-    With tol=None the tolerance defaults to three times the longest mesh
-    edge, which absorbs exactly the discretization spread of double points
-    that the smooth construction keeps on the core circle.
+    count, connectivity of the orientation double cover) and on the ambient
+    geometry (boundary winding class, sheet count through the core,
+    self-intersection scan).  With tol=None the tolerance defaults to three
+    times the longest mesh edge, which absorbs exactly the discretization
+    spread of double points that the smooth construction keeps on the core
+    circle.
     """
     if tol is not None and tol <= 0:
         raise ValueError("tol must be positive")
@@ -571,15 +578,7 @@ def verify_mesh(
             f"mesh has {mesh.vertex_count} vertices, parameters imply "
             f"{expected_vertices}"
         )
-    edges, counts = _check_structure(mesh)
-
-    derived_boundary = edges[counts == 1]
-    stored = {tuple(e) for e in np.sort(mesh.boundary_edges, axis=1).tolist()}
-    if stored != {tuple(e) for e in derived_boundary.tolist()}:
-        raise MeshStructureError("stored boundary edges disagree with incidence")
-
-    euler = euler_characteristic(mesh)
-
+    _check_structure(mesh)
     cycles = boundary_cycles(mesh)
     theta_total, phi_total = boundary_winding_angles(mesh, s.ring_radius)
     longitudinal = int(round(theta_total / (2.0 * pi)))
@@ -592,7 +591,7 @@ def verify_mesh(
     max_offcore = float(distances.max()) if len(distances) else 0.0
 
     return MeshVerificationReport(
-        euler_characteristic=int(euler),
+        euler_characteristic=euler_characteristic(mesh),
         boundary_component_count=len(cycles),
         orientable=is_orientable(mesh),
         boundary_class=(longitudinal, meridional),

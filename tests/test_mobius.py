@@ -6,8 +6,13 @@ triangle pair with the scalar plane-interval method, so the two routes share
 no code.
 """
 
+import dataclasses
+from math import gcd
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crosscap import mobius
 from crosscap.mobius import (
@@ -93,6 +98,96 @@ def oracle_offcore_points(mesh, params):
     for a, b in zip(ia[touching], ib[touching]):
         points.extend(oracle_pair_points(coords[a], coords[b]))
     return np.array(points).reshape(-1, 3)
+
+
+# --- brute-force topology reference ------------------------------------------
+
+
+def reference_edge_counts(triangles):
+    """Triangles per undirected edge, by a dict over every triangle side."""
+    counts = {}
+    for a, b, c in triangles.tolist():
+        for u, v in ((a, b), (b, c), (c, a)):
+            key = (min(u, v), max(u, v))
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def reference_euler(triangles):
+    used = set(triangles.ravel().tolist())
+    return len(used) - len(reference_edge_counts(triangles)) + len(triangles)
+
+
+def reference_is_orientable(triangles):
+    """Propagate a coherent orientation across shared edges, triangle by
+    triangle; a contradiction anywhere means nonorientable."""
+    edge_to_tris = {}
+    for t, (a, b, c) in enumerate(triangles.tolist()):
+        for u, v in ((a, b), (b, c), (c, a)):
+            edge_to_tris.setdefault((min(u, v), max(u, v)), []).append((t, u < v))
+    tri_edges = [[] for _ in range(len(triangles))]
+    for key, hits in edge_to_tris.items():
+        for t, forward in hits:
+            tri_edges[t].append((key, forward))
+    flags = [0] * len(triangles)
+    for seed in range(len(triangles)):
+        if flags[seed]:
+            continue
+        flags[seed] = 1
+        stack = [seed]
+        while stack:
+            t = stack.pop()
+            for key, forward in tri_edges[t]:
+                for other, other_forward in edge_to_tris[key]:
+                    if other == t:
+                        continue
+                    # Consistently oriented neighbors traverse a shared
+                    # edge in opposite directions.
+                    needed = -flags[t] if forward == other_forward else flags[t]
+                    if flags[other] == 0:
+                        flags[other] = needed
+                        stack.append(other)
+                    elif flags[other] != needed:
+                        return False
+    return True
+
+
+def with_triangles(mesh, triangles, columns, boundary_edges=None):
+    """The mesh with its triangle list replaced; the stored boundary defaults
+    to the reference boundary of the new triangles."""
+    if boundary_edges is None:
+        counts = reference_edge_counts(triangles)
+        boundary_edges = np.array(
+            sorted(e for e, n in counts.items() if n == 1), dtype=np.int32
+        ).reshape(-1, 2)
+    return dataclasses.replace(
+        mesh,
+        triangles=triangles,
+        triangle_columns=columns,
+        boundary_edges=boundary_edges,
+    )
+
+
+def disjoint_union(a, b):
+    """Two meshes side by side, b's vertex indices shifted past a's."""
+    return dataclasses.replace(
+        a,
+        vertices=np.concatenate([a.vertices, b.vertices]),
+        domain_theta=np.concatenate([a.domain_theta, b.domain_theta]),
+        domain_chord=np.concatenate([a.domain_chord, b.domain_chord]),
+        domain_pos=np.concatenate([a.domain_pos, b.domain_pos]),
+        triangles=np.concatenate([a.triangles, b.triangles + a.vertex_count]),
+        boundary_edges=np.concatenate(
+            [a.boundary_edges, b.boundary_edges + a.vertex_count]
+        ),
+        triangle_columns=np.concatenate([a.triangle_columns, b.triangle_columns]),
+    )
+
+
+def cut_open(mesh, theta_steps):
+    """Drop every column that crosses the sweep wraparound: p strips."""
+    keep = mesh.triangle_columns % theta_steps != theta_steps - 1
+    return with_triangles(mesh, mesh.triangles[keep], mesh.triangle_columns[keep])
 
 
 # --- parameter validation ----------------------------------------------------
@@ -239,7 +334,7 @@ class TestVerification:
 
     def test_orientation_check_accepts_orientable_patch(self):
         # Cut the band open: drop the wraparound columns and the strip is an
-        # orientable rectangle, which the propagation check must accept.
+        # orientable rectangle, which the orientation check must accept.
         mesh, params = small_mesh(1, 3, theta=16)
         keep = mesh.triangle_columns < mesh.strip_length - 1
         cut = ImmersedMobiusMesh(
@@ -275,6 +370,135 @@ class TestVerification:
         mesh, params = small_mesh(1, 3, theta=16)
         with pytest.raises(ValueError):
             mobius.verify_mesh(mesh, params, tol=0.0)
+
+
+class TestEdgeTable:
+    """Every check that reads the mesh's edge table, against the references."""
+
+    @pytest.mark.parametrize("bad_index", [-1, "V", "V+1"])
+    def test_index_out_of_range_rejected_before_keying(self, bad_index):
+        mesh, params = small_mesh(1, 3, theta=16)
+        v = mesh.vertex_count
+        tris = mesh.triangles.copy()
+        # Index V + 1 in edge (lo, V + 1) would alias edge (lo + 1, 1) under
+        # the key lo * V + hi.
+        tris[0, 2] = {"V": v, "V+1": v + 1}.get(bad_index, bad_index)
+        bad = with_triangles(mesh, tris, mesh.triangle_columns, mesh.boundary_edges)
+        for check in (
+            mobius.euler_characteristic,
+            mobius.is_orientable,
+            mobius.max_edge_length,
+            lambda m: mobius.verify_mesh(m, params),
+        ):
+            with pytest.raises(MeshStructureError, match="index out of range"):
+                check(bad)
+
+    def test_degenerate_triangle(self):
+        mesh, params = small_mesh(1, 3, theta=16)
+        tris = mesh.triangles.copy()
+        tris[0, 1] = tris[0, 0]
+        bad = with_triangles(mesh, tris, mesh.triangle_columns, mesh.boundary_edges)
+        with pytest.raises(MeshStructureError, match="degenerate triangle"):
+            mobius.verify_mesh(bad, params)
+
+    def test_edge_on_three_triangles(self):
+        # On an orientable strip, so only the branching edge can make the
+        # orientation check fail.
+        band, params = small_mesh(1, 3, theta=16)
+        mesh = cut_open(band, params.theta_steps)
+        tris = np.concatenate([mesh.triangles, mesh.triangles[:1]])
+        cols = np.concatenate([mesh.triangle_columns, mesh.triangle_columns[:1]])
+        bad = with_triangles(mesh, tris, cols, mesh.boundary_edges)
+        with pytest.raises(MeshStructureError, match="more than two triangles"):
+            mobius.verify_mesh(bad, params)
+        assert not mobius.is_orientable(bad)
+        assert not reference_is_orientable(tris)
+
+    def test_stored_boundary_disagrees_with_incidence(self):
+        mesh, params = small_mesh(1, 3, theta=16)
+        bad = with_triangles(
+            mesh, mesh.triangles, mesh.triangle_columns, mesh.boundary_edges[1:]
+        )
+        with pytest.raises(MeshStructureError, match="disagree with incidence"):
+            mobius.verify_mesh(bad, params)
+
+    def test_boundary_vertex_without_two_boundary_edges(self):
+        # Removing the second triangle of the first quad (a, d, c) exposes
+        # both of its chord-interior edges at the boundary vertex a, which
+        # then has four boundary edges.
+        mesh, params = small_mesh(1, 3, theta=16, chord=4)
+        keep = np.arange(mesh.triangle_count) != 1
+        bad = with_triangles(mesh, mesh.triangles[keep], mesh.triangle_columns[keep])
+        a = int(mesh.triangles[1, 0])
+        with pytest.raises(
+            MeshStructureError, match=f"boundary vertex {a} has 4 boundary edges"
+        ):
+            mobius.verify_mesh(bad, params)
+
+    def test_table_is_built_once_per_mesh(self, monkeypatch):
+        mesh, params = small_mesh(2, 3, theta=24)
+        fresh = dataclasses.replace(mesh)
+        built = []
+        real = mobius._build_edge_table
+
+        def counting(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(mobius, "_build_edge_table", counting)
+        for m in (mesh, fresh):
+            mobius.max_edge_length(m)
+            mobius.verify_mesh(m, params)
+        assert len(built) == 1  # the fresh copy; build_mobius seeds its own
+
+    def test_two_component_orientation(self):
+        band, params = small_mesh(1, 3, theta=16)
+        cut = cut_open(band, params.theta_steps)
+        assert not mobius.is_orientable(disjoint_union(band, cut))
+        assert not mobius.is_orientable(disjoint_union(cut, band))
+        assert mobius.is_orientable(disjoint_union(cut, cut))
+        assert mobius.euler_characteristic(disjoint_union(cut, cut)) == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_brute_force_reference(self, data):
+        p = data.draw(st.integers(1, 3), label="p")
+        q = data.draw(
+            st.integers(-7, 7).filter(lambda q: q != 0 and gcd(2 * p, abs(q)) == 1),
+            label="q",
+        )
+        theta = data.draw(st.integers(max(8, 4 * p * abs(q)), 96), label="theta")
+        chord = data.draw(st.integers(2, 5), label="chord")
+        params = SweepParams(p=p, q=q, theta_steps=theta, chord_steps=chord)
+        mesh = mobius.build_mobius(params)
+        counts = reference_edge_counts(mesh.triangles)
+        boundary = [list(e) for e in sorted(counts) if counts[e] == 1]
+        assert mesh.boundary_edges.tolist() == boundary
+        if data.draw(st.booleans(), label="cut"):
+            mesh = cut_open(mesh, params.theta_steps)
+        # Split some quads along their other diagonal, so the triangle
+        # adjacency graph has odd cycles; then relabel vertices, reorder
+        # triangles and reverse some of them.  None of that changes chi or
+        # orientability.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        quads = mesh.triangles.reshape(-1, 2, 3).copy()  # (a, b, d), (a, d, c)
+        a, b, d, c = quads[:, 0, 0], quads[:, 0, 1], quads[:, 0, 2], quads[:, 1, 2]
+        other = np.stack([np.stack([a, b, c], 1), np.stack([b, d, c], 1)], 1)
+        resplit = rng.random(len(quads)) < 0.5
+        quads[resplit] = other[resplit]
+        relabel = rng.permutation(mesh.vertex_count)
+        order = rng.permutation(mesh.triangle_count)
+        tris = relabel[quads.reshape(-1, 3)[order]].astype(np.int32)
+        flip = rng.random(len(tris)) < 0.5
+        tris[flip] = tris[flip][:, ::-1]
+        mesh = with_triangles(mesh, tris, mesh.triangle_columns[order])
+
+        counts = reference_edge_counts(tris)
+        table = mesh._edge_table
+        assert table.edges.tolist() == [list(e) for e in sorted(counts)]
+        assert table.counts.tolist() == [counts[e] for e in sorted(counts)]
+        assert mobius.euler_characteristic(mesh) == reference_euler(tris)
+        assert mobius.is_orientable(mesh) == reference_is_orientable(tris)
 
 
 class TestMeshFormats:
