@@ -33,8 +33,7 @@ def main() -> None:
         mesh = mobius.build_mobius(params)
         path = args.out_dir / f"mobius_p{p}_q{q}.off"
         path.write_text(mobius.export_mesh(mesh, "off"))
-        tol = 3.0 * mobius.max_edge_length(mesh)
-        report = mobius.verify_mesh(mesh, params, tol=tol)
+        report = mobius.verify_mesh(mesh, params)
         print(
             f"T({2 * p},{q}): chi={report.euler_characteristic} "
             f"boundaries={report.boundary_component_count} "
@@ -42,7 +41,7 @@ def main() -> None:
             f"class={report.boundary_class} "
             f"core_sheets={report.core_multiplicity} "
             f"max_offcore={report.max_offcore_selfintersection_distance:.2e} "
-            f"(tol {tol:.2e}) -> {path}"
+            f"(tol {report.tolerance:.2e}) -> {path}"
         )
 
 

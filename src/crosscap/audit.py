@@ -152,10 +152,9 @@ def _mesh_certification() -> None:
         assert not report.orientable, f"orientability for ({p},{q})"
         assert report.boundary_class == (2 * p, q), f"class for ({p},{q})"
         assert report.core_multiplicity == p, f"core sheets for ({p},{q})"
-        tol = 3.0 * mobius.max_edge_length(mesh)
-        assert report.max_offcore_selfintersection_distance <= tol, (
+        assert report.max_offcore_selfintersection_distance <= report.tolerance, (
             f"double points stray {report.max_offcore_selfintersection_distance} "
-            f"from the core for ({p},{q}), tolerance {tol}"
+            f"from the core for ({p},{q}), tolerance {report.tolerance}"
         )
         if p == 1:
             points = mobius.self_intersection_points(mesh, params)
@@ -289,13 +288,18 @@ def _twist_monotonicity() -> None:
 
 
 def _genus_cross_check() -> None:
+    # The closed-form twist count is the least even p at which invariants'
+    # genus and crosscap formulas both rule the surface out.
+    def contradicts(chi: int, n: int, p: int) -> bool:
+        t = knots.TorusParams(2 * n - 1, 2 * n + p * (2 * n - 1))
+        genus = invariants.seifert_genus_torus(t).value
+        return 1 - 2 * genus < chi and invariants.gamma3_torus(t).value > 1 - chi
+
     for n in range(2, 11):
-        for p in range(0, 11, 2):
-            t = knots.TorusParams(2 * n - 1, 2 * n + p * (2 * n - 1))
-            assert (
-                invariants.seifert_genus_torus(t).value
-                == homology.twisted_seifert_genus(n, p)
-            ), f"genus mismatch at ({n},{p})"
+        for chi in range(1, -21, -1):
+            p = homology.minimal_twist_contradiction(chi, n)
+            assert contradicts(chi, n, p), f"no contradiction at ({chi},{n})"
+            assert p == 0 or not contradicts(chi, n, p - 2), f"not least at ({chi},{n})"
 
 
 def run_audit(seed: int = 0) -> list[CheckResult]:

@@ -84,7 +84,7 @@ def _cmd_gaps(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_mesh_report(report: mobius.MeshVerificationReport, tol: float) -> None:
+def _print_mesh_report(report: mobius.MeshVerificationReport) -> None:
     print(f"euler_characteristic: {report.euler_characteristic}")
     print(f"boundary_components: {report.boundary_component_count}")
     print(f"orientable: {'yes' if report.orientable else 'no'}")
@@ -92,7 +92,8 @@ def _print_mesh_report(report: mobius.MeshVerificationReport, tol: float) -> Non
     print(f"core_multiplicity: {report.core_multiplicity}")
     print(
         "max_offcore_selfintersection_distance: "
-        f"{report.max_offcore_selfintersection_distance:.3e} (tolerance {tol:.3e})"
+        f"{report.max_offcore_selfintersection_distance:.3e} "
+        f"(tolerance {report.tolerance:.3e})"
     )
 
 
@@ -114,16 +115,12 @@ def _cmd_build_mobius(args: argparse.Namespace) -> int:
     out = Path(args.out)
     export_text = mobius.export_mesh(mesh, _mesh_file_format(args, out))
     out.write_text(export_text)
-    tol = args.tol if args.tol is not None else 3.0 * mobius.max_edge_length(mesh)
-    report = mobius.verify_mesh(mesh, params, tol=tol)
+    report = mobius.verify_mesh(mesh, params, tol=args.tol)
     if args.format == "json":
-        payload = report.to_dict()
-        payload["tolerance"] = tol
-        payload["mesh_file"] = str(out)
-        print(_canonical_json(payload))
+        print(_canonical_json({**report.to_dict(), "mesh_file": str(out)}))
     else:
         print(f"wrote {len(export_text.splitlines())} lines to {out}")
-        _print_mesh_report(report, tol)
+        _print_mesh_report(report)
     return 0
 
 
@@ -132,14 +129,11 @@ def _cmd_verify_mesh(args: argparse.Namespace) -> int:
     text = Path(args.out).read_text()
     vertices, triangles = mobius.parse_mesh_text(text)
     mesh, params = mobius.rebuild_for_file(args.p, args.q, vertices, triangles)
-    tol = args.tol if args.tol is not None else 3.0 * mobius.max_edge_length(mesh)
-    report = mobius.verify_mesh(mesh, params, tol=tol)
+    report = mobius.verify_mesh(mesh, params, tol=args.tol)
     if args.format == "json":
-        payload = report.to_dict()
-        payload["tolerance"] = tol
-        print(_canonical_json(payload))
+        print(_canonical_json(report.to_dict()))
     else:
-        _print_mesh_report(report, tol)
+        _print_mesh_report(report)
     return 0
 
 

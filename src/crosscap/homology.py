@@ -69,40 +69,22 @@ def embedded_component_bound(n: int) -> HomologyGapReport:
     )
 
 
-def twisted_seifert_genus(n: int, p: int) -> int:
-    """Seifert genus of T(2n-1, 2n+p(2n-1)): (n-1)(2n-1)(1+p)."""
-    return (n - 1) * (2 * n - 1) * (1 + p)
-
-
-def twisted_crosscap_number(n: int, p: int) -> int:
-    """Crosscap number of T(2n-1, 2n+p(2n-1)) for even p: (p+2n)/2."""
-    if p % 2 != 0:
-        raise ValueError("the crosscap formula applies to even p only")
-    return (p + 2 * n) // 2
-
-
-def even_twisted_seifert_genus(n: int, p: int) -> int:
-    """Seifert genus of the companion family T(2n, 2n-1+2pn): (2n-1)(n-1+pn)."""
-    return (2 * n - 1) * (n - 1 + p * n)
-
-
 def minimal_twist_contradiction(chi_surface: int, n: int) -> int:
     """Smallest even twist count p that contradicts a spanning surface of
-    the given Euler characteristic in the twisted family.
+    the given Euler characteristic in the twisted family T(2n-1, 2n+p(2n-1)).
 
     A surface with one boundary component and chi = chi_surface would be a
-    Seifert surface (chi = 1-2g, so g grows past the genus formula) or a
-    nonorientable spanning surface (first Betti number 1-chi, which the
-    crosscap formula eventually exceeds).  The scan returns the first even
-    p >= 0 where both readings fail, quantifying "p sufficiently large".
+    Seifert surface (chi = 1-2g with genus g = (n-1)(2n-1)(1+p), dead once
+    1 - 2g < chi) or a nonorientable spanning surface (first Betti number
+    1-chi, dead once the crosscap number (p+2n)/2 exceeds it).  Solving the
+    two inequalities for even p >= 0 gives the least p where both fail,
+    quantifying "p sufficiently large".
     """
     if chi_surface > 1:
         raise ValueError("a connected spanning surface has chi <= 1")
     _require_n(n)
-    p = 0
-    while True:
-        orientable_dead = 1 - 2 * twisted_seifert_genus(n, p) < chi_surface
-        nonorientable_dead = twisted_crosscap_number(n, p) > 1 - chi_surface
-        if orientable_dead and nonorientable_dead:
-            return p
-        p += 2
+    # Orientable reading dies once 1 + p > (1-chi) / (2(n-1)(2n-1)).
+    f = (1 - chi_surface) // (2 * (n - 1) * (2 * n - 1))
+    # Nonorientable reading dies once p/2 + n > 1 - chi: at even
+    # p >= 4 - 2chi - 2n.
+    return max(max(0, 4 - 2 * chi_surface - 2 * n), f + f % 2)

@@ -248,6 +248,10 @@ def winding_is_even(k: KnotPresentation) -> Optional[bool]:
 #   external(name)  |  external(name; hyperbolic=yes/no, slice=yes/no)
 #
 # Whitespace is insignificant everywhere; integers are signed decimals.
+# Cables nest at most MAX_CABLE_DEPTH deep, well inside the recursion limit
+# of the code that formats and evaluates a presentation.
+
+MAX_CABLE_DEPTH = 100
 
 
 class _Parser:
@@ -301,7 +305,8 @@ class _Parser:
         b = self.integer()
         return TorusParams(a, b)
 
-    def knot(self) -> KnotPresentation:
+    def knot(self, depth: int = 0) -> KnotPresentation:
+        """One presentation inside ``depth`` enclosing cables."""
         head = self.word().lower()
         if head == "unknot":
             return UNKNOT
@@ -310,9 +315,11 @@ class _Parser:
             self.expect(")")
             return TorusKnot(params)
         if head == "cable":
+            if depth == MAX_CABLE_DEPTH:
+                raise self.error(f"cables nest deeper than {MAX_CABLE_DEPTH}")
             params = self.params()
             self.expect(";")
-            companion = self.knot()
+            companion = self.knot(depth + 1)
             self.expect(")")
             return CableKnot(params, companion)
         if head == "external":

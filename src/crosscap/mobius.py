@@ -8,12 +8,16 @@ disk meet only at its center, so the band is embedded away from the core
 circle of the solid torus, and all self-intersections of a faithful mesh
 must stay within discretization distance of that core.
 
-The mesh keeps abstract-domain coordinates (slice index, chord index,
-position along the chord) alongside the ambient coordinates, because the
-surface is immersed: distinct domain points may share an ambient point.
-Vertices are identified only at the sweep wraparound, where chord j at the
-full angle matches chord (j+q) mod p at angle zero with the induced
-endpoint map.
+The mesh stores only ambient vertices and triangles.  The surface is
+immersed, so distinct domain points may share an ambient point, and the
+sweep-specific checks read the abstract domain from the numbering that
+build_mobius fixes instead: sample m of chord j in slice i is vertex
+(i*p + j)*chord_steps + m, and the two triangles of quad (i, j, m) are
+consecutive and both start at that vertex.  Vertices are identified only at
+the sweep wraparound, where chord j at the full angle matches chord
+(j+q) mod p at angle zero with the induced endpoint map.  The generic
+checks (structure, Euler characteristic, boundary cycles, orientability,
+edge lengths) read nothing but the vertices and triangles.
 """
 
 from __future__ import annotations
@@ -129,22 +133,16 @@ def chord_cycle(p: int, q: int) -> tuple[int, bool]:
 
 @dataclass(frozen=True, eq=False)
 class ImmersedMobiusMesh:
-    """Triangulated immersed band with ambient and domain data per vertex.
+    """Triangulated immersed band: ambient vertices and triangles.
 
-    triangle_columns holds, per triangle, the index of its slice-to-slice
-    column along the unrolled strip of length strip_length = p*theta_steps;
-    circular distance along the strip is the abstract-domain distance used
-    to separate genuine double points from shared-edge contact.
+    A mesh from build_mobius carries its abstract domain in its numbering
+    (see the module docstring), which the sweep checks read together with
+    the SweepParams.  The edge table, the boundary and its cycles are
+    derived from the triangles, each at most once per mesh.
     """
 
-    vertices: np.ndarray        # (V, 3) float64 ambient coordinates
-    domain_theta: np.ndarray    # (V,) int32 slice index
-    domain_chord: np.ndarray    # (V,) int32 chord index
-    domain_pos: np.ndarray      # (V,) float64 position along the chord in [-1, 1]
-    triangles: np.ndarray       # (F, 3) int32
-    boundary_edges: np.ndarray  # (B, 2) int32, derived from triangle incidence
-    triangle_columns: np.ndarray  # (F,) int32
-    strip_length: int
+    vertices: np.ndarray   # (V, 3) float64 ambient coordinates
+    triangles: np.ndarray  # (F, 3) int32
 
     @property
     def vertex_count(self) -> int:
@@ -157,6 +155,16 @@ class ImmersedMobiusMesh:
     @cached_property
     def _edge_table(self) -> _EdgeTable:
         return _build_edge_table(self.triangles, self.vertex_count)
+
+    @property
+    def boundary_edges(self) -> np.ndarray:
+        """(B, 2) int32 (lo, hi) edges on exactly one triangle, in order."""
+        table = self._edge_table
+        return table.edges[table.counts == 1]
+
+    @cached_property
+    def _boundary_cycles(self) -> list[list[int]]:
+        return _walk_cycles(self.boundary_edges)
 
 
 class _EdgeTable(NamedTuple):
@@ -203,13 +211,12 @@ def build_mobius(s: SweepParams) -> ImmersedMobiusMesh:
         )
     big_r, small_r = s.ring_radius, s.tube_radius
 
-    i_grid, j_grid, m_grid = np.meshgrid(
-        np.arange(n_theta), np.arange(p), np.arange(n_chord), indexing="ij"
-    )
-    i_flat = i_grid.reshape(-1)
-    j_flat = j_grid.reshape(-1)
-    m_flat = m_grid.reshape(-1)
+    def grid(samples: int) -> list[np.ndarray]:
+        """Flat (slice, chord, sample) indices, the sample varying fastest."""
+        axes = (np.arange(n_theta), np.arange(p), np.arange(samples))
+        return [g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")]
 
+    i_flat, j_flat, m_flat = grid(n_chord)
     theta = 2.0 * pi * i_flat / n_theta
     alpha = (2.0 * pi * j_flat + q * theta) / (2.0 * p)
     pos = -1.0 + 2.0 * m_flat / (n_chord - 1)
@@ -229,12 +236,6 @@ def build_mobius(s: SweepParams) -> ImmersedMobiusMesh:
     succ = np.array([chord_successor(p, q, j) for j in range(p)], dtype=np.int64)
     succ_chord, succ_flip = succ[:, 0], succ[:, 1]
 
-    cols_i, cols_j = np.meshgrid(np.arange(n_theta), np.arange(p), indexing="ij")
-    cols_i = cols_i.reshape(-1)
-    cols_j = cols_j.reshape(-1)
-
-    m_row = np.arange(n_chord)
-
     def next_vid(i: np.ndarray, j: np.ndarray, m: np.ndarray) -> np.ndarray:
         wrap = i == n_theta - 1
         j2 = np.where(wrap, succ_chord[j], j)
@@ -242,10 +243,7 @@ def build_mobius(s: SweepParams) -> ImmersedMobiusMesh:
         i2 = np.where(wrap, 0, i + 1)
         return vid(i2, j2, m2)
 
-    quads_i = np.repeat(cols_i, n_chord - 1)
-    quads_j = np.repeat(cols_j, n_chord - 1)
-    quads_m = np.tile(m_row[:-1], len(cols_i))
-
+    quads_i, quads_j, quads_m = grid(n_chord - 1)
     corner_a = vid(quads_i, quads_j, quads_m)
     corner_b = next_vid(quads_i, quads_j, quads_m)
     corner_c = vid(quads_i, quads_j, quads_m + 1)
@@ -259,30 +257,7 @@ def build_mobius(s: SweepParams) -> ImmersedMobiusMesh:
     triangles[0::2] = tri_1
     triangles[1::2] = tri_2
 
-    # Strip columns: pass k of the sweep runs along chord (k*q) mod p, so
-    # chord j belongs to pass j*q^{-1} mod p.
-    if p == 1:
-        pass_of_chord = np.zeros(1, dtype=np.int64)
-    else:
-        q_inv = pow(q % p, -1, p)
-        pass_of_chord = (np.arange(p) * q_inv) % p
-    column_of = pass_of_chord[quads_j] * n_theta + quads_i
-    triangle_columns = np.repeat(column_of, 2).astype(np.int32)
-
-    table = _build_edge_table(triangles, len(vertices))
-    mesh = ImmersedMobiusMesh(
-        vertices=vertices,
-        domain_theta=i_flat.astype(np.int32),
-        domain_chord=j_flat.astype(np.int32),
-        domain_pos=pos,
-        triangles=triangles,
-        boundary_edges=table.edges[table.counts == 1],
-        triangle_columns=triangle_columns,
-        strip_length=p * n_theta,
-    )
-    # Seed the cached property so the table is built once per mesh.
-    mesh.__dict__["_edge_table"] = table
-    return mesh
+    return ImmersedMobiusMesh(vertices=vertices, triangles=triangles)
 
 
 @dataclass(frozen=True)
@@ -293,6 +268,7 @@ class MeshVerificationReport:
     boundary_class: tuple[int, int]
     max_offcore_selfintersection_distance: float
     core_multiplicity: int
+    tolerance: float
 
     def to_dict(self) -> dict:
         return {
@@ -304,6 +280,7 @@ class MeshVerificationReport:
                 self.max_offcore_selfintersection_distance
             ),
             "core_multiplicity": self.core_multiplicity,
+            "tolerance": self.tolerance,
         }
 
 
@@ -313,15 +290,16 @@ def _check_structure(mesh: ImmersedMobiusMesh) -> None:
         raise MeshStructureError("degenerate triangle (repeated vertex)")
     if (counts > 2).any():
         raise MeshStructureError("edge shared by more than two triangles")
-    stored = {tuple(e) for e in np.sort(mesh.boundary_edges, axis=1).tolist()}
-    if stored != {tuple(e) for e in edges[counts == 1].tolist()}:
-        raise MeshStructureError("stored boundary edges disagree with incidence")
 
 
 def boundary_cycles(mesh: ImmersedMobiusMesh) -> list[list[int]]:
     """Boundary edge cycles as ordered vertex lists."""
+    return [list(cycle) for cycle in mesh._boundary_cycles]
+
+
+def _walk_cycles(boundary_edges: np.ndarray) -> list[list[int]]:
     neighbors: dict[int, list[int]] = {}
-    for a, b in mesh.boundary_edges:
+    for a, b in boundary_edges:
         neighbors.setdefault(int(a), []).append(int(b))
         neighbors.setdefault(int(b), []).append(int(a))
     for v, around in neighbors.items():
@@ -350,8 +328,10 @@ def boundary_cycles(mesh: ImmersedMobiusMesh) -> list[list[int]]:
 
 def euler_characteristic(mesh: ImmersedMobiusMesh) -> int:
     """V - E + F over the vertices actually referenced by triangles."""
-    vertex_count = len(np.unique(mesh.triangles))
-    return int(vertex_count - len(mesh._edge_table.counts) + len(mesh.triangles))
+    edge_count = len(mesh._edge_table.counts)  # rejects indices out of range
+    used = np.zeros(mesh.vertex_count, dtype=bool)
+    used[mesh.triangles] = True
+    return int(np.count_nonzero(used) - edge_count + mesh.triangle_count)
 
 
 def is_orientable(mesh: ImmersedMobiusMesh) -> bool:
@@ -397,7 +377,7 @@ def boundary_winding_angles(
     """
     total_theta = 0.0
     total_phi = 0.0
-    for cycle in boundary_cycles(mesh):
+    for cycle in mesh._boundary_cycles:
         pts = mesh.vertices[np.array(cycle, dtype=np.int64)]
         theta = np.arctan2(pts[:, 1], pts[:, 0])
         radial = np.hypot(pts[:, 0], pts[:, 1]) - ring_radius
@@ -423,8 +403,7 @@ def _core_multiplicity(mesh: ImmersedMobiusMesh, s: SweepParams) -> int:
     """Count, per slice, the chords whose polyline passes through the core
     point of that slice; the sweep puts every chord through the core."""
     n_theta, p, n_chord = s.theta_steps, s.p, s.chord_steps
-    order = np.lexsort((mesh.domain_pos, mesh.domain_chord, mesh.domain_theta))
-    pts = mesh.vertices[order].reshape(n_theta, p, n_chord, 3)
+    pts = mesh.vertices.reshape(n_theta, p, n_chord, 3)
     seg_a = pts[:, :, :-1, :]
     seg_b = pts[:, :, 1:, :]
     theta = 2.0 * pi * np.arange(n_theta) / n_theta
@@ -447,6 +426,17 @@ def _core_multiplicity(mesh: ImmersedMobiusMesh, s: SweepParams) -> int:
             f"core sheet count varies across slices: {counts.min()}..{counts.max()}"
         )
     return int(counts[0])
+
+
+def _strip_columns(triangles: np.ndarray, s: SweepParams) -> np.ndarray:
+    """Column of each triangle along the strip of length p*theta_steps that
+    unrolls the sweep.  A triangle starts at the vertex (i, j, m) of its
+    quad; pass k of the sweep runs along chord (k*q) mod p, so chord j
+    belongs to pass j*q^{-1} mod p, whose columns start at pass*theta_steps."""
+    slice_index, chord = np.divmod(triangles[:, 0] // s.chord_steps, s.p)
+    q_inv = pow(s.q % s.p, -1, s.p)
+    # int32 keeps the strip-distance temporaries over candidate pairs small.
+    return ((chord * q_inv) % s.p * s.theta_steps + slice_index).astype(np.int32)
 
 
 def _strip_distance(c1: np.ndarray, c2: np.ndarray, length: int) -> np.ndarray:
@@ -483,7 +473,7 @@ def _segment_triangle_points(
     return mask, p0 + d * t[:, None]
 
 
-def _candidate_pairs(mesh: ImmersedMobiusMesh, n_theta: int) -> np.ndarray:
+def _candidate_pairs(mesh: ImmersedMobiusMesh, s: SweepParams) -> np.ndarray:
     """Index pairs of triangles that are domain-far yet possibly touching.
 
     Each triangle occupies the angular wedge of its strip column, so only
@@ -491,7 +481,9 @@ def _candidate_pairs(mesh: ImmersedMobiusMesh, n_theta: int) -> np.ndarray:
     pairs (circular strip distance <= 1) share mesh edges by construction
     and are excluded.
     """
-    sector = mesh.triangle_columns % n_theta
+    n_theta = s.theta_steps
+    cols = _strip_columns(mesh.triangles, s)
+    sector = cols % n_theta
     by_sector = [np.where(sector == d)[0] for d in range(n_theta)]
     chunks = []
     for d in range(n_theta):
@@ -506,8 +498,7 @@ def _candidate_pairs(mesh: ImmersedMobiusMesh, n_theta: int) -> np.ndarray:
     if not chunks:
         return np.empty((0, 2), dtype=np.int64)
     pairs = np.concatenate(chunks)
-    cols = mesh.triangle_columns
-    far = _strip_distance(cols[pairs[:, 0]], cols[pairs[:, 1]], mesh.strip_length) > 1
+    far = _strip_distance(cols[pairs[:, 0]], cols[pairs[:, 1]], s.p * n_theta) > 1
     return pairs[far]
 
 
@@ -516,7 +507,7 @@ def self_intersection_points(
 ) -> np.ndarray:
     """Ambient points where triangles from different domain neighborhoods
     cross, as an (n, 3) array.  Aggregation is order-independent."""
-    pairs = _candidate_pairs(mesh, s.theta_steps)
+    pairs = _candidate_pairs(mesh, s)
     if not len(pairs):
         return np.empty((0, 3))
     coords = mesh.vertices[mesh.triangles]
@@ -568,7 +559,7 @@ def verify_mesh(
     self-intersection scan).  With tol=None the tolerance defaults to three
     times the longest mesh edge, which absorbs exactly the discretization
     spread of double points that the smooth construction keeps on the core
-    circle.
+    circle; the report carries the tolerance it used.
     """
     if tol is not None and tol <= 0:
         raise ValueError("tol must be positive")
@@ -579,7 +570,7 @@ def verify_mesh(
             f"{expected_vertices}"
         )
     _check_structure(mesh)
-    cycles = boundary_cycles(mesh)
+    cycles = boundary_cycles(mesh)  # walked once; the winding reuses them
     theta_total, phi_total = boundary_winding_angles(mesh, s.ring_radius)
     longitudinal = int(round(theta_total / (2.0 * pi)))
     meridional = int(round(phi_total / (2.0 * pi)))
@@ -597,6 +588,7 @@ def verify_mesh(
         boundary_class=(longitudinal, meridional),
         max_offcore_selfintersection_distance=max_offcore,
         core_multiplicity=_core_multiplicity(mesh, s),
+        tolerance=tol,
     )
 
 

@@ -40,6 +40,19 @@ class TestClassify:
         assert code == 2
         assert err
 
+    def test_deep_cable_exits_2(self, capsys):
+        deep = "cable(2,3; " * 400 + "torus(2,3)" + ")" * 400
+        code, out, err = run(capsys, "classify", "--knot", deep)
+        assert code == 2
+        assert out == ""
+        assert "cables nest deeper than 100" in err
+
+    def test_cable_at_nesting_limit(self, capsys):
+        limit = "cable(2,3; " * 100 + "torus(2,3)" + ")" * 100
+        code, out, _ = run(capsys, "classify", "--knot", limit, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["gamma_i"]["value"] == 1
+
     def test_missing_knot_exits_1(self, capsys):
         code, _, err = run(capsys, "classify")
         assert code == 1
@@ -162,6 +175,13 @@ class TestSmallCommands:
         code, out, _ = run(capsys, "twist", "--chi", "-4", "--n", "2")
         assert code == 0
         assert out.strip().endswith("8")
+
+    def test_twist_with_huge_chi(self, capsys):
+        code, out, _ = run(
+            capsys, "twist", "--chi", "-100000000", "--n", "2", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["minimal_even_twists"] == 200000000
 
     def test_unknown_command_exits_1(self, capsys):
         code, _, err = run(capsys, "frobnicate")

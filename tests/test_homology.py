@@ -54,9 +54,20 @@ class TestEmbeddedBound:
 
 
 def _contradicts(chi, n, p):
-    orientable_dead = 1 - 2 * homology.twisted_seifert_genus(n, p) < chi
-    nonorientable_dead = homology.twisted_crosscap_number(n, p) > 1 - chi
+    """Both spanning-surface readings fail for T(2n-1, 2n+p(2n-1)), by the
+    genus and crosscap formulas of the invariants module."""
+    t = TorusParams(2 * n - 1, 2 * n + p * (2 * n - 1))
+    orientable_dead = 1 - 2 * invariants.seifert_genus_torus(t).value < chi
+    nonorientable_dead = invariants.gamma3_torus(t).value > 1 - chi
     return orientable_dead and nonorientable_dead
+
+
+def _scan(chi, n):
+    """The least even p >= 0 that contradicts chi, found by trying each."""
+    p = 0
+    while not _contradicts(chi, n, p):
+        p += 2
+    return p
 
 
 class TestTwistContradiction:
@@ -83,6 +94,11 @@ class TestTwistContradiction:
                 if p >= 2:
                     assert not _contradicts(chi, n, p - 2)
 
+    def test_closed_form_matches_scan(self):
+        for chi in range(-150, 2):
+            for n in range(2, 13):
+                assert homology.minimal_twist_contradiction(chi, n) == _scan(chi, n)
+
     def test_monotone_in_chi_and_n(self):
         for n in range(2, 11):
             values = [
@@ -95,25 +111,3 @@ class TestTwistContradiction:
                 homology.minimal_twist_contradiction(chi, n) for n in range(2, 11)
             ]
             assert values == sorted(values, reverse=True)
-
-
-class TestCrossModuleConsistency:
-    def test_seifert_genus_matches_invariants_module(self):
-        for n in range(2, 11):
-            for p in range(0, 11, 2):
-                t = TorusParams(2 * n - 1, 2 * n + p * (2 * n - 1))
-                assert invariants.seifert_genus_torus(t).value == (
-                    homology.twisted_seifert_genus(n, p)
-                )
-                u = TorusParams(2 * n, 2 * n - 1 + 2 * p * n)
-                assert invariants.seifert_genus_torus(u).value == (
-                    homology.even_twisted_seifert_genus(n, p)
-                )
-
-    def test_crosscap_matches_invariants_module(self):
-        for n in range(2, 11):
-            for p in range(0, 11, 2):
-                t = TorusParams(2 * n - 1, 2 * n + p * (2 * n - 1))
-                assert invariants.gamma3_torus(t).value == (
-                    homology.twisted_crosscap_number(n, p)
-                )

@@ -6,7 +6,6 @@ triangle pair with the scalar plane-interval method, so the two routes share
 no code.
 """
 
-import dataclasses
 from math import gcd
 
 import numpy as np
@@ -81,16 +80,30 @@ def oracle_pair_points(t1, t2, eps=1e-12):
     return out
 
 
+def oracle_strip_columns(mesh, params):
+    """Column of each triangle along the unrolled strip: follow chord 0
+    across the wraparound, pass after pass, to number the chords' passes;
+    a triangle's slice and chord are those of its first vertex."""
+    p, theta = params.p, params.theta_steps
+    pass_of_chord, chord = {}, 0
+    for k in range(p):
+        pass_of_chord[chord] = k
+        chord = mobius.chord_successor(p, params.q, chord)[0]
+    slice_index, chord = np.divmod(mesh.triangles[:, 0] // params.chord_steps, p)
+    passes = np.array([pass_of_chord[j] for j in range(p)])
+    return passes[chord] * theta + slice_index
+
+
 def oracle_offcore_points(mesh, params):
     """All-pairs scan over domain-far triangles (bounding-sphere reject only)."""
     coords = mesh.vertices[mesh.triangles]
     centers = coords.mean(axis=1)
     radii = np.sqrt(((coords - centers[:, None, :]) ** 2).sum(axis=2)).max(axis=1)
-    cols = mesh.triangle_columns.astype(np.int64)
+    cols = oracle_strip_columns(mesh, params)
     n = len(coords)
     ia, ib = np.triu_indices(n, k=1)
     raw = np.abs(cols[ia] - cols[ib])
-    far = np.minimum(raw, mesh.strip_length - raw) > 1
+    far = np.minimum(raw, params.p * params.theta_steps - raw) > 1
     ia, ib = ia[far], ib[far]
     gap = np.sqrt(((centers[ia] - centers[ib]) ** 2).sum(axis=1))
     touching = gap <= radii[ia] + radii[ib]
@@ -152,42 +165,24 @@ def reference_is_orientable(triangles):
     return True
 
 
-def with_triangles(mesh, triangles, columns, boundary_edges=None):
-    """The mesh with its triangle list replaced; the stored boundary defaults
-    to the reference boundary of the new triangles."""
-    if boundary_edges is None:
-        counts = reference_edge_counts(triangles)
-        boundary_edges = np.array(
-            sorted(e for e, n in counts.items() if n == 1), dtype=np.int32
-        ).reshape(-1, 2)
-    return dataclasses.replace(
-        mesh,
-        triangles=triangles,
-        triangle_columns=columns,
-        boundary_edges=boundary_edges,
-    )
+def with_triangles(mesh, triangles):
+    """The mesh's vertices with a new triangle list."""
+    return ImmersedMobiusMesh(vertices=mesh.vertices, triangles=triangles)
 
 
 def disjoint_union(a, b):
     """Two meshes side by side, b's vertex indices shifted past a's."""
-    return dataclasses.replace(
-        a,
+    return ImmersedMobiusMesh(
         vertices=np.concatenate([a.vertices, b.vertices]),
-        domain_theta=np.concatenate([a.domain_theta, b.domain_theta]),
-        domain_chord=np.concatenate([a.domain_chord, b.domain_chord]),
-        domain_pos=np.concatenate([a.domain_pos, b.domain_pos]),
         triangles=np.concatenate([a.triangles, b.triangles + a.vertex_count]),
-        boundary_edges=np.concatenate(
-            [a.boundary_edges, b.boundary_edges + a.vertex_count]
-        ),
-        triangle_columns=np.concatenate([a.triangle_columns, b.triangle_columns]),
     )
 
 
-def cut_open(mesh, theta_steps):
-    """Drop every column that crosses the sweep wraparound: p strips."""
-    keep = mesh.triangle_columns % theta_steps != theta_steps - 1
-    return with_triangles(mesh, mesh.triangles[keep], mesh.triangle_columns[keep])
+def cut_open(mesh, params):
+    """Drop every quad that crosses the sweep wraparound (slice
+    theta_steps - 1, the slice of its first vertex): p strips."""
+    slice_index = mesh.triangles[:, 0] // (params.p * params.chord_steps)
+    return with_triangles(mesh, mesh.triangles[slice_index != params.theta_steps - 1])
 
 
 # --- parameter validation ----------------------------------------------------
@@ -227,13 +222,29 @@ class TestConstruction:
         assert len(mesh.boundary_edges) == 2 * 2 * 24
 
     def test_single_chord_per_slice_when_p1(self):
-        mesh, _ = small_mesh(1, 3)
-        assert int(mesh.domain_chord.max()) == 0
+        # Vertex (i, 0, m) is i*chord_steps + m: each slice's samples lie on
+        # one straight chord in the meridian plane of that slice.
+        mesh, params = small_mesh(1, 3)
+        pts = mesh.vertices.reshape(params.theta_steps, params.chord_steps, 3)
+        spans = pts[:, -1] - pts[:, 0]
+        offsets = pts - pts[:, :1]
+        assert np.allclose(np.cross(offsets, spans[:, None]), 0.0, atol=1e-12)
+        theta = 2 * np.pi * np.arange(params.theta_steps) / params.theta_steps
+        tangent = np.stack([-np.sin(theta), np.cos(theta), 0 * theta], axis=1)
+        assert np.allclose((offsets * tangent[:, None]).sum(axis=2), 0.0, atol=1e-12)
 
     def test_domain_positions_span_chord(self):
-        mesh, _ = small_mesh(1, 3, chord=5)
-        assert mesh.domain_pos.min() == -1.0
-        assert mesh.domain_pos.max() == 1.0
+        # Positions -1, -0.5, 0, 0.5, 1: the ends sit on the torus, the
+        # middle sample on the core circle, evenly spaced in between.
+        mesh, params = small_mesh(1, 3, chord=5)
+        pts = mesh.vertices.reshape(params.theta_steps, params.chord_steps, 3)
+        core = mobius.distance_to_core_circle(
+            pts.reshape(-1, 3), params.ring_radius
+        ).reshape(params.theta_steps, params.chord_steps)
+        assert np.allclose(core[:, [0, -1]], params.tube_radius, atol=1e-12)
+        assert np.allclose(core[:, 2], 0.0, atol=1e-12)
+        steps = np.linalg.norm(np.diff(pts, axis=1), axis=2)
+        assert np.allclose(steps, params.tube_radius / 2, atol=1e-12)
 
     def test_boundary_vertices_sit_on_torus(self):
         mesh, params = small_mesh(2, 3, theta=24)
@@ -313,6 +324,30 @@ class TestVerification:
         tol = 3.0 * mobius.max_edge_length(mesh)
         assert d_slow.max() <= tol
 
+    def test_cut_open_band_matches_oracle(self):
+        # The strip columns come from each triangle's first vertex, so they
+        # hold for any subset of the built triangles: here p disks.
+        band, params = small_mesh(2, 3, theta=24)
+        cut = cut_open(band, params)
+        report = mobius.verify_mesh(cut, params)
+        assert report.euler_characteristic == 2
+        assert report.boundary_component_count == 2
+        assert report.orientable
+        assert report.core_multiplicity == 2
+        fast = mobius.self_intersection_points(cut, params)
+        slow = oracle_offcore_points(cut, params)
+        d_fast = mobius.distance_to_core_circle(fast, params.ring_radius)
+        d_slow = mobius.distance_to_core_circle(slow, params.ring_radius)
+        assert len(fast) > 0 and abs(d_fast.max() - d_slow.max()) < 1e-9
+
+    def test_report_carries_tolerance(self):
+        mesh, params = small_mesh(2, 3, theta=24)
+        report = mobius.verify_mesh(mesh, params)
+        assert report.tolerance == 3.0 * mobius.max_edge_length(mesh)
+        assert report.to_dict()["tolerance"] == report.tolerance
+        assert list(report.to_dict())[-1] == "tolerance"
+        assert mobius.verify_mesh(mesh, params, tol=0.5).tolerance == 0.5
+
     def test_winding_angles_near_exact_multiples(self):
         mesh, params = small_mesh(2, 3, theta=48)
         theta_total, phi_total = mobius.boundary_winding_angles(
@@ -336,33 +371,13 @@ class TestVerification:
         # Cut the band open: drop the wraparound columns and the strip is an
         # orientable rectangle, which the orientation check must accept.
         mesh, params = small_mesh(1, 3, theta=16)
-        keep = mesh.triangle_columns < mesh.strip_length - 1
-        cut = ImmersedMobiusMesh(
-            vertices=mesh.vertices,
-            domain_theta=mesh.domain_theta,
-            domain_chord=mesh.domain_chord,
-            domain_pos=mesh.domain_pos,
-            triangles=mesh.triangles[keep],
-            boundary_edges=mesh.boundary_edges,
-            triangle_columns=mesh.triangle_columns[keep],
-            strip_length=mesh.strip_length,
-        )
-        assert mobius.is_orientable(cut)
+        assert mobius.is_orientable(cut_open(mesh, params))
 
     def test_structure_error_on_corrupt_triangles(self):
         mesh, params = small_mesh(1, 3, theta=16)
         bad_tris = mesh.triangles.copy()
         bad_tris[0] = bad_tris[1]  # duplicates an edge pairing
-        bad = ImmersedMobiusMesh(
-            vertices=mesh.vertices,
-            domain_theta=mesh.domain_theta,
-            domain_chord=mesh.domain_chord,
-            domain_pos=mesh.domain_pos,
-            triangles=bad_tris,
-            boundary_edges=mesh.boundary_edges,
-            triangle_columns=mesh.triangle_columns,
-            strip_length=mesh.strip_length,
-        )
+        bad = ImmersedMobiusMesh(vertices=mesh.vertices, triangles=bad_tris)
         with pytest.raises(MeshStructureError):
             mobius.verify_mesh(bad, params)
 
@@ -383,7 +398,7 @@ class TestEdgeTable:
         # Index V + 1 in edge (lo, V + 1) would alias edge (lo + 1, 1) under
         # the key lo * V + hi.
         tris[0, 2] = {"V": v, "V+1": v + 1}.get(bad_index, bad_index)
-        bad = with_triangles(mesh, tris, mesh.triangle_columns, mesh.boundary_edges)
+        bad = with_triangles(mesh, tris)
         for check in (
             mobius.euler_characteristic,
             mobius.is_orientable,
@@ -397,7 +412,7 @@ class TestEdgeTable:
         mesh, params = small_mesh(1, 3, theta=16)
         tris = mesh.triangles.copy()
         tris[0, 1] = tris[0, 0]
-        bad = with_triangles(mesh, tris, mesh.triangle_columns, mesh.boundary_edges)
+        bad = with_triangles(mesh, tris)
         with pytest.raises(MeshStructureError, match="degenerate triangle"):
             mobius.verify_mesh(bad, params)
 
@@ -405,22 +420,13 @@ class TestEdgeTable:
         # On an orientable strip, so only the branching edge can make the
         # orientation check fail.
         band, params = small_mesh(1, 3, theta=16)
-        mesh = cut_open(band, params.theta_steps)
+        mesh = cut_open(band, params)
         tris = np.concatenate([mesh.triangles, mesh.triangles[:1]])
-        cols = np.concatenate([mesh.triangle_columns, mesh.triangle_columns[:1]])
-        bad = with_triangles(mesh, tris, cols, mesh.boundary_edges)
+        bad = with_triangles(mesh, tris)
         with pytest.raises(MeshStructureError, match="more than two triangles"):
             mobius.verify_mesh(bad, params)
         assert not mobius.is_orientable(bad)
         assert not reference_is_orientable(tris)
-
-    def test_stored_boundary_disagrees_with_incidence(self):
-        mesh, params = small_mesh(1, 3, theta=16)
-        bad = with_triangles(
-            mesh, mesh.triangles, mesh.triangle_columns, mesh.boundary_edges[1:]
-        )
-        with pytest.raises(MeshStructureError, match="disagree with incidence"):
-            mobius.verify_mesh(bad, params)
 
     def test_boundary_vertex_without_two_boundary_edges(self):
         # Removing the second triangle of the first quad (a, d, c) exposes
@@ -428,32 +434,43 @@ class TestEdgeTable:
         # then has four boundary edges.
         mesh, params = small_mesh(1, 3, theta=16, chord=4)
         keep = np.arange(mesh.triangle_count) != 1
-        bad = with_triangles(mesh, mesh.triangles[keep], mesh.triangle_columns[keep])
+        bad = with_triangles(mesh, mesh.triangles[keep])
         a = int(mesh.triangles[1, 0])
         with pytest.raises(
             MeshStructureError, match=f"boundary vertex {a} has 4 boundary edges"
         ):
             mobius.verify_mesh(bad, params)
 
-    def test_table_is_built_once_per_mesh(self, monkeypatch):
+    @staticmethod
+    def _calls_per_mesh(monkeypatch, builder):
+        """Calls of mobius.<builder> while two meshes with the same triangles
+        each run every table reader, verify_mesh and boundary_cycles."""
         mesh, params = small_mesh(2, 3, theta=24)
-        fresh = dataclasses.replace(mesh)
-        built = []
-        real = mobius._build_edge_table
+        calls = []
+        real = getattr(mobius, builder)
 
         def counting(*args):
-            built.append(args)
+            calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(mobius, "_build_edge_table", counting)
-        for m in (mesh, fresh):
+        monkeypatch.setattr(mobius, builder, counting)
+        for m in (mesh, with_triangles(mesh, mesh.triangles)):
             mobius.max_edge_length(m)
             mobius.verify_mesh(m, params)
-        assert len(built) == 1  # the fresh copy; build_mobius seeds its own
+            mobius.boundary_cycles(m)
+        return len(calls) / 2
+
+    def test_table_is_built_once_per_mesh(self, monkeypatch):
+        assert self._calls_per_mesh(monkeypatch, "_build_edge_table") == 1
+
+    def test_boundary_cycles_walked_once_per_mesh(self, monkeypatch):
+        # verify_mesh needs the cycles twice: to count them and to wind
+        # along them.
+        assert self._calls_per_mesh(monkeypatch, "_walk_cycles") == 1
 
     def test_two_component_orientation(self):
         band, params = small_mesh(1, 3, theta=16)
-        cut = cut_open(band, params.theta_steps)
+        cut = cut_open(band, params)
         assert not mobius.is_orientable(disjoint_union(band, cut))
         assert not mobius.is_orientable(disjoint_union(cut, band))
         assert mobius.is_orientable(disjoint_union(cut, cut))
@@ -474,8 +491,9 @@ class TestEdgeTable:
         counts = reference_edge_counts(mesh.triangles)
         boundary = [list(e) for e in sorted(counts) if counts[e] == 1]
         assert mesh.boundary_edges.tolist() == boundary
+        assert mesh.boundary_edges.dtype == np.int32
         if data.draw(st.booleans(), label="cut"):
-            mesh = cut_open(mesh, params.theta_steps)
+            mesh = cut_open(mesh, params)
         # Split some quads along their other diagonal, so the triangle
         # adjacency graph has odd cycles; then relabel vertices, reorder
         # triangles and reverse some of them.  None of that changes chi or
@@ -491,7 +509,7 @@ class TestEdgeTable:
         tris = relabel[quads.reshape(-1, 3)[order]].astype(np.int32)
         flip = rng.random(len(tris)) < 0.5
         tris[flip] = tris[flip][:, ::-1]
-        mesh = with_triangles(mesh, tris, mesh.triangle_columns[order])
+        mesh = with_triangles(mesh, tris)
 
         counts = reference_edge_counts(tris)
         table = mesh._edge_table
@@ -505,13 +523,7 @@ class TestMeshFormats:
     def _tiny_mesh(self):
         return ImmersedMobiusMesh(
             vertices=np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
-            domain_theta=np.zeros(3, dtype=np.int32),
-            domain_chord=np.zeros(3, dtype=np.int32),
-            domain_pos=np.zeros(3),
             triangles=np.array([[0, 1, 2]], dtype=np.int32),
-            boundary_edges=np.array([[0, 1], [1, 2], [0, 2]], dtype=np.int32),
-            triangle_columns=np.zeros(1, dtype=np.int32),
-            strip_length=1,
         )
 
     def test_off_exact(self):
@@ -536,14 +548,7 @@ class TestMeshFormats:
 
     def test_empty_off(self):
         empty = ImmersedMobiusMesh(
-            vertices=np.empty((0, 3)),
-            domain_theta=np.empty(0, dtype=np.int32),
-            domain_chord=np.empty(0, dtype=np.int32),
-            domain_pos=np.empty(0),
-            triangles=np.empty((0, 3), dtype=np.int32),
-            boundary_edges=np.empty((0, 2), dtype=np.int32),
-            triangle_columns=np.empty(0, dtype=np.int32),
-            strip_length=0,
+            vertices=np.empty((0, 3)), triangles=np.empty((0, 3), dtype=np.int32)
         )
         assert mobius.export_mesh(empty, "off") == "OFF\n0 0 0\n"
 
