@@ -111,3 +111,26 @@ class TestTwistContradiction:
                 homology.minimal_twist_contradiction(chi, n) for n in range(2, 11)
             ]
             assert values == sorted(values, reverse=True)
+
+
+class TestCrossModuleConsistency:
+    """The twisted-family formulas that minimal_twist_contradiction's closed
+    form is solved from agree with the invariants module."""
+
+    def test_seifert_genus_matches_invariants_module(self):
+        for n in range(2, 11):
+            for p in range(0, 11, 2):
+                t = TorusParams(2 * n - 1, 2 * n + p * (2 * n - 1))
+                assert invariants.seifert_genus_torus(t).value == (
+                    (n - 1) * (2 * n - 1) * (1 + p)
+                )
+                u = TorusParams(2 * n, 2 * n - 1 + 2 * p * n)
+                assert invariants.seifert_genus_torus(u).value == (
+                    (2 * n - 1) * (n - 1 + p * n)
+                )
+
+    def test_crosscap_matches_invariants_module(self):
+        for n in range(2, 11):
+            for p in range(0, 11, 2):
+                t = TorusParams(2 * n - 1, 2 * n + p * (2 * n - 1))
+                assert invariants.gamma3_torus(t).value == (p + 2 * n) // 2
