@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, pi
+from math import gcd, inf, pi
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -97,10 +97,14 @@ def validate_sweep(s: SweepParams) -> None:
         raise MeshParameterError(
             f"need 0 < tube_radius < ring_radius, got {s.tube_radius}, {s.ring_radius}"
         )
+    _check_triangle_budget(s.triangle_count, "mesh would have")
+
+
+def _check_triangle_budget(count: int, subject: str) -> None:
     budget = max_triangle_budget()
-    if s.triangle_count > budget:
+    if count > budget:
         raise MeshParameterError(
-            f"mesh would have {s.triangle_count} triangles, over the budget {budget}"
+            f"{subject} {count} triangles, over the budget {budget}"
         )
 
 
@@ -439,11 +443,6 @@ def _strip_columns(triangles: np.ndarray, s: SweepParams) -> np.ndarray:
     return ((chord * q_inv) % s.p * s.theta_steps + slice_index).astype(np.int32)
 
 
-def _strip_distance(c1: np.ndarray, c2: np.ndarray, length: int) -> np.ndarray:
-    raw = np.abs(c1 - c2)
-    return np.minimum(raw, length - raw)
-
-
 def _segment_triangle_points(
     p0: np.ndarray, p1: np.ndarray, tri: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -473,70 +472,57 @@ def _segment_triangle_points(
     return mask, p0 + d * t[:, None]
 
 
-def _candidate_pairs(mesh: ImmersedMobiusMesh, s: SweepParams) -> np.ndarray:
-    """Index pairs of triangles that are domain-far yet possibly touching.
+_CROSSING_BATCH = 65536  # triangle pairs per batched crossing test
+
+
+def self_intersection_points(mesh: ImmersedMobiusMesh, s: SweepParams) -> np.ndarray:
+    """Ambient points where triangles from different domain neighborhoods
+    cross, as an (n, 3) array.  Aggregation is order-independent.
 
     Each triangle occupies the angular wedge of its strip column, so only
     same-sector or adjacent-sector pairs can meet in space; domain-adjacent
     pairs (circular strip distance <= 1) share mesh edges by construction
-    and are excluded.
+    and are excluded.  The pairs are built and filtered one sector at a
+    time, so memory holds one sector's pairs plus the pairs whose bounding
+    boxes touch.  The crossing test then runs once over all of those, in
+    fixed-size batches.
     """
-    n_theta = s.theta_steps
+    n_theta, length = s.theta_steps, s.p * s.theta_steps
     cols = _strip_columns(mesh.triangles, s)
     sector = cols % n_theta
-    by_sector = [np.where(sector == d)[0] for d in range(n_theta)]
-    chunks = []
-    for d in range(n_theta):
-        own = by_sector[d]
-        if len(own) > 1:
-            ia, ib = np.triu_indices(len(own), k=1)
-            chunks.append(np.stack([own[ia], own[ib]], axis=1))
-        nxt = by_sector[(d + 1) % n_theta]
-        if n_theta > 1 and len(own) and len(nxt):
-            ia, ib = np.meshgrid(own, nxt, indexing="ij")
-            chunks.append(np.stack([ia.reshape(-1), ib.reshape(-1)], axis=1))
-    if not chunks:
-        return np.empty((0, 2), dtype=np.int64)
-    pairs = np.concatenate(chunks)
-    far = _strip_distance(cols[pairs[:, 0]], cols[pairs[:, 1]], s.p * n_theta) > 1
-    return pairs[far]
-
-
-def self_intersection_points(
-    mesh: ImmersedMobiusMesh, s: SweepParams, batch: int = 65536
-) -> np.ndarray:
-    """Ambient points where triangles from different domain neighborhoods
-    cross, as an (n, 3) array.  Aggregation is order-independent."""
-    pairs = _candidate_pairs(mesh, s)
-    if not len(pairs):
-        return np.empty((0, 3))
+    by_sector = np.argsort(sector, kind="stable")
+    bounds = np.searchsorted(sector[by_sector], np.arange(n_theta + 1))
     coords = mesh.vertices[mesh.triangles]
-
     lo = coords.min(axis=1)
     hi = coords.max(axis=1)
     margin = 1e-12
-    a_idx, b_idx = pairs[:, 0], pairs[:, 1]
-    overlap = np.all(
-        (lo[a_idx] <= hi[b_idx] + margin) & (lo[b_idx] <= hi[a_idx] + margin), axis=1
-    )
-    pairs = pairs[overlap]
-    if not len(pairs):
-        return np.empty((0, 3))
 
-    found = []
-    for start in range(0, len(pairs), batch):
-        chunk = pairs[start:start + batch]
-        tri_a = coords[chunk[:, 0]]
-        tri_b = coords[chunk[:, 1]]
+    pairs = [np.empty((0, 2), dtype=np.intp)]
+    for d in range(n_theta):
+        own = by_sector[bounds[d]:bounds[d + 1]]
+        if not len(own):
+            continue
+        e = (d + 1) % n_theta
+        nxt = by_sector[bounds[e]:bounds[e + 1]] if e != d else own[:0]
+        # Within the sector, then own x next with own varying slowest; this
+        # order is the order of the returned points.
+        ia, ib = np.triu_indices(len(own), k=1)
+        a = np.concatenate([own[ia], np.repeat(own, len(nxt))])
+        b = np.concatenate([own[ib], np.tile(nxt, len(own))])
+        raw = np.abs(cols[a] - cols[b])
+        far = np.minimum(raw, length - raw) > 1
+        a, b = a[far], b[far]
+        overlap = np.all((lo[a] <= hi[b] + margin) & (lo[b] <= hi[a] + margin), axis=1)
+        pairs.append(np.stack([a[overlap], b[overlap]], axis=1))
+    pairs = np.concatenate(pairs)
+
+    found = [np.empty((0, 3))]
+    for start in range(0, len(pairs), _CROSSING_BATCH):
+        tri_a, tri_b = coords[pairs[start:start + _CROSSING_BATCH].T]
         for probe, target in ((tri_a, tri_b), (tri_b, tri_a)):
             for e0, e1 in ((0, 1), (1, 2), (2, 0)):
-                mask, pts = _segment_triangle_points(
-                    probe[:, e0], probe[:, e1], target
-                )
-                if mask.any():
-                    found.append(pts[mask])
-    if not found:
-        return np.empty((0, 3))
+                mask, pts = _segment_triangle_points(probe[:, e0], probe[:, e1], target)
+                found.append(pts[mask])
     return np.concatenate(found)
 
 
@@ -561,8 +547,8 @@ def verify_mesh(
     spread of double points that the smooth construction keeps on the core
     circle; the report carries the tolerance it used.
     """
-    if tol is not None and tol <= 0:
-        raise ValueError("tol must be positive")
+    if tol is not None and not 0 < tol < inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     expected_vertices = s.theta_steps * s.p * s.chord_steps
     if mesh.vertex_count != expected_vertices:
         raise MeshStructureError(
@@ -613,15 +599,17 @@ def export_mesh(mesh: ImmersedMobiusMesh, format: str) -> str:
 
 
 def parse_mesh_text(text: str) -> tuple[np.ndarray, np.ndarray]:
-    """Read OFF or OBJ text back into (vertices, triangles) arrays."""
+    """Read OFF or OBJ text back into (vertices, triangles) arrays; the face
+    count must fit the triangle budget before any row is converted."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty mesh file")
     if lines[0] == "OFF":
-        if len(lines) < 2:
-            raise ValueError("truncated OFF header")
-        counts = lines[1].split()
+        counts = lines[1].split() if len(lines) > 1 else []
+        if len(counts) < 2:
+            raise ValueError("OFF header needs vertex and face counts")
         n_verts, n_faces = int(counts[0]), int(counts[1])
+        _check_triangle_budget(n_faces, "mesh file has")
         verts = [[float(x) for x in ln.split()] for ln in lines[2:2 + n_verts]]
         faces = []
         for ln in lines[2 + n_verts:2 + n_verts + n_faces]:
@@ -632,13 +620,14 @@ def parse_mesh_text(text: str) -> tuple[np.ndarray, np.ndarray]:
         if len(verts) != n_verts or len(faces) != n_faces:
             raise ValueError("OFF body shorter than its header counts")
     else:
+        kinds = [ln.split(None, 1)[0] for ln in lines]
+        _check_triangle_budget(kinds.count("f"), "mesh file has")
         verts, faces = [], []
-        for ln in lines:
-            parts = ln.split()
-            if parts[0] == "v":
-                verts.append([float(x) for x in parts[1:4]])
-            elif parts[0] == "f":
-                faces.append([int(x.split("/")[0]) - 1 for x in parts[1:4]])
+        for kind, ln in zip(kinds, lines):
+            if kind == "v":
+                verts.append([float(x) for x in ln.split()[1:4]])
+            elif kind == "f":
+                faces.append([int(x.split("/")[0]) - 1 for x in ln.split()[1:4]])
         if not verts or not faces:
             raise ValueError("not an OFF or OBJ triangle mesh")
     return (
@@ -661,6 +650,8 @@ def rebuild_for_file(
     force N*p = V - F/2); the rebuilt mesh must reproduce the file's
     triangles exactly and its coordinates to printing precision.
     """
+    if p < 1:
+        raise MeshParameterError(f"p must be >= 1, got {p}")
     n_verts, n_faces = len(vertices), len(triangles)
     if n_faces % 2 != 0:
         raise ValueError("a swept band mesh has an even triangle count")

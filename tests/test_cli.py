@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from crosscap import cli
 
 
@@ -144,6 +146,54 @@ class TestMeshCommands:
             capsys, "verify-mesh", "--p", "2", "--q", "5", "--out", str(target)
         )
         assert code == 2
+
+    def test_verify_with_p_zero_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "band.off"
+        run(
+            capsys, "build-mobius", "--p", "1", "--q", "3",
+            "--theta-steps", "16", "--chord-steps", "3", "--out", str(target),
+        )
+        code, out, err = run(
+            capsys, "verify-mesh", "--p", "0", "--q", "3", "--out", str(target)
+        )
+        assert code == 2
+        assert out == ""
+        assert "p must be >= 1" in err
+
+    def test_short_off_header_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "short.off"
+        target.write_text("OFF\n3\n")
+        code, _, err = run(
+            capsys, "verify-mesh", "--p", "1", "--q", "3", "--out", str(target)
+        )
+        assert code == 2
+        assert "vertex and face counts" in err
+
+    @pytest.mark.parametrize("name", ["band.off", "band.obj"])
+    def test_mesh_file_over_budget_exits_2(self, capsys, tmp_path, monkeypatch, name):
+        target = tmp_path / name
+        code, _, _ = run(
+            capsys, "build-mobius", "--p", "1", "--q", "3",
+            "--theta-steps", "16", "--chord-steps", "3", "--out", str(target),
+        )
+        assert code == 0  # 64 triangles
+        monkeypatch.setenv("CROSSCAP_MAX_MESH", "10")
+        code, out, err = run(
+            capsys, "verify-mesh", "--p", "1", "--q", "3", "--out", str(target)
+        )
+        assert code == 2
+        assert out == ""
+        assert "64 triangles, over the budget 10" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_nonfinite_tolerance_exits_2(self, capsys, tmp_path, tol):
+        code, out, err = run(
+            capsys, "build-mobius", "--p", "1", "--q", "3", "--theta-steps", "16",
+            "--out", str(tmp_path / "band.off"), "--tol", tol,
+        )
+        assert code == 2
+        assert out == ""
+        assert "tol must be positive and finite" in err
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(

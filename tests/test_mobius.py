@@ -6,6 +6,7 @@ triangle pair with the scalar plane-interval method, so the two routes share
 no code.
 """
 
+import tracemalloc
 from math import gcd
 
 import numpy as np
@@ -340,6 +341,43 @@ class TestVerification:
         d_slow = mobius.distance_to_core_circle(slow, params.ring_radius)
         assert len(fast) > 0 and abs(d_fast.max() - d_slow.max()) < 1e-9
 
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_scan_matches_oracle_on_random_sweeps(self, data):
+        p = data.draw(st.integers(1, 3), label="p")
+        # 2p|q| <= 12 keeps the all-pairs oracle under a second.
+        q = data.draw(
+            st.integers(-6 // p, 6 // p).filter(
+                lambda q: q != 0 and gcd(2 * p, abs(q)) == 1
+            ),
+            label="q",
+        )
+        low = max(8, 4 * p * abs(q))
+        theta = data.draw(st.integers(low, low + 8), label="theta")
+        chord = data.draw(st.integers(2, 4), label="chord")
+        mesh, params = small_mesh(p, q, theta=theta, chord=chord)
+        if data.draw(st.booleans(), label="cut"):
+            mesh = cut_open(mesh, params)
+        fast = mobius.self_intersection_points(mesh, params)
+        slow = oracle_offcore_points(mesh, params)
+        assert (len(fast) == 0) == (len(slow) == 0)
+        if len(fast):
+            d_fast = mobius.distance_to_core_circle(fast, params.ring_radius)
+            d_slow = mobius.distance_to_core_circle(slow, params.ring_radius)
+            assert abs(d_fast.max() - d_slow.max()) < 1e-9
+
+    def test_scan_memory_is_bounded_by_one_sector(self):
+        # 19,200 triangles, 150 per sector: every same- and adjacent-sector
+        # pair at once would take about 200 MB.
+        mesh, params = small_mesh(3, 5, theta=128, chord=26)
+        tracemalloc.start()
+        try:
+            mobius.self_intersection_points(mesh, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
     def test_report_carries_tolerance(self):
         mesh, params = small_mesh(2, 3, theta=24)
         report = mobius.verify_mesh(mesh, params)
@@ -383,8 +421,9 @@ class TestVerification:
 
     def test_tolerance_must_be_positive(self):
         mesh, params = small_mesh(1, 3, theta=16)
-        with pytest.raises(ValueError):
-            mobius.verify_mesh(mesh, params, tol=0.0)
+        for tol in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive and finite"):
+                mobius.verify_mesh(mesh, params, tol=tol)
 
 
 class TestEdgeTable:
@@ -571,6 +610,18 @@ class TestMeshFormats:
         assert rebuilt_params.chord_steps == params.chord_steps
         report = mobius.verify_mesh(rebuilt, rebuilt_params)
         assert report.boundary_class == (4, 3)
+
+    @pytest.mark.parametrize("fmt", ["off", "obj"])
+    def test_face_budget_checked_before_rows_convert(self, fmt, monkeypatch):
+        # Eleven faces over a budget of ten; the unparsable vertex rows
+        # show that no row was converted first.
+        monkeypatch.setenv(mobius.MAX_MESH_ENV, "10")
+        if fmt == "off":
+            text = "OFF\n3 11 0\n" + "x y z\n" * 3 + "3 0 1 2\n" * 11
+        else:
+            text = "v x y z\n" * 3 + "f 1 2 3\n" * 11
+        with pytest.raises(MeshParameterError, match="11 triangles, over the budget 10"):
+            mobius.parse_mesh_text(text)
 
     def test_rebuild_rejects_wrong_parameters(self):
         mesh, _ = small_mesh(2, 3, theta=24)
