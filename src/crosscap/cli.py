@@ -112,10 +112,11 @@ def _cmd_build_mobius(args: argparse.Namespace) -> int:
         chord_steps=args.chord_steps,
     )
     mesh = mobius.build_mobius(params)
+    # Verify first: a rejected --tol must leave no file behind.
+    report = mobius.verify_mesh(mesh, params, tol=args.tol)
     out = Path(args.out)
     export_text = mobius.export_mesh(mesh, _mesh_file_format(args, out))
     out.write_text(export_text)
-    report = mobius.verify_mesh(mesh, params, tol=args.tol)
     if args.format == "json":
         print(_canonical_json({**report.to_dict(), "mesh_file": str(out)}))
     else:
@@ -223,8 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name: str, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--format", choices=("text", "json", "off", "obj"),
-                       default="text")
+        p.add_argument("--format", choices=("text", "json"), default="text")
         return p
 
     for name in ("classify", "invariants"):
@@ -234,7 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("gaps", "gap table for the family T(2k, 2k-1)")
     p.add_argument("--k-max", dest="k_max", type=int)
 
-    p = add("build-mobius", "build a swept band mesh, write it, and verify it")
+    # Only build-mobius writes a mesh file, so only it takes a file format.
+    p = sub.add_parser(
+        "build-mobius", help="build a swept band mesh, verify it, and write it"
+    )
+    p.add_argument("--format", choices=("text", "json", "off", "obj"), default="text")
     p.add_argument("--p", type=int)
     p.add_argument("--q", type=int)
     p.add_argument("--theta-steps", dest="theta_steps", type=int, default=128)

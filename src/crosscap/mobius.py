@@ -482,11 +482,30 @@ def self_intersection_points(mesh: ImmersedMobiusMesh, s: SweepParams) -> np.nda
     Each triangle occupies the angular wedge of its strip column, so only
     same-sector or adjacent-sector pairs can meet in space; domain-adjacent
     pairs (circular strip distance <= 1) share mesh edges by construction
-    and are excluded.  The pairs are built and filtered one sector at a
-    time, so memory holds one sector's pairs plus the pairs whose bounding
-    boxes touch.  The crossing test then runs once over all of those, in
+    and are excluded.
+
+    The broad phase sweeps on z (sort-and-sweep, Baraff 1992), one window
+    at a time.  Window d holds sectors d and d + 1, stably sorted by each
+    triangle's lowest z.  A triangle's partners are the contiguous run
+    after it whose lowest z is at most its highest z plus the margin;
+    since the sort orders the lowest z, that run holds every later
+    triangle whose z-interval touches its own.  Window d owns the pairs
+    with a member in sector d; a pair inside sector d + 1 belongs to
+    window d + 1.  The owned pairs then pass the strip-distance filter and
+    the full bounding-box test.  The cost is O(F log F + pairs overlapping
+    in z), and memory holds one window's z-overlapping pairs plus the
+    pairs whose boxes touch.
+
+    For p = 1 the strip has length theta_steps, so a triangle's sector is
+    its column, and a pair in the same or adjacent sectors is at circular
+    strip distance at most 1: no pair can pass, and the scan returns no
+    points without reading the mesh.
+
+    The crossing test runs once over all pairs whose boxes touch, in
     fixed-size batches.
     """
+    if s.p == 1:
+        return np.empty((0, 3))
     n_theta, length = s.theta_steps, s.p * s.theta_steps
     cols = _strip_columns(mesh.triangles, s)
     sector = cols % n_theta
@@ -496,6 +515,7 @@ def self_intersection_points(mesh: ImmersedMobiusMesh, s: SweepParams) -> np.nda
     lo = coords.min(axis=1)
     hi = coords.max(axis=1)
     margin = 1e-12
+    reach = hi[:, 2] + margin
 
     pairs = [np.empty((0, 2), dtype=np.intp)]
     for d in range(n_theta):
@@ -504,11 +524,17 @@ def self_intersection_points(mesh: ImmersedMobiusMesh, s: SweepParams) -> np.nda
             continue
         e = (d + 1) % n_theta
         nxt = by_sector[bounds[e]:bounds[e + 1]] if e != d else own[:0]
-        # Within the sector, then own x next with own varying slowest; this
-        # order is the order of the returned points.
-        ia, ib = np.triu_indices(len(own), k=1)
-        a = np.concatenate([own[ia], np.repeat(own, len(nxt))])
-        b = np.concatenate([own[ib], np.tile(nxt, len(own))])
+        window = np.concatenate([own, nxt])
+        order = np.argsort(lo[window, 2], kind="stable")
+        window = window[order]
+        owned = order < len(own)
+        # Sorted triangle i pairs with i + 1, ..., end[i] - 1.
+        end = np.searchsorted(lo[window, 2], reach[window], side="right")
+        run = end - np.arange(1, len(window) + 1)
+        first = np.repeat(np.arange(len(window)), run)
+        second = np.arange(len(first)) - np.repeat(np.cumsum(run) - end, run)
+        keep = owned[first] | owned[second]
+        a, b = window[first[keep]], window[second[keep]]
         raw = np.abs(cols[a] - cols[b])
         far = np.minimum(raw, length - raw) > 1
         a, b = a[far], b[far]

@@ -195,6 +195,18 @@ class TestMeshCommands:
         assert out == ""
         assert "tol must be positive and finite" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+    def test_rejected_tolerance_writes_no_file(self, capsys, tmp_path, tol):
+        target = tmp_path / "band.off"
+        code, out, err = run(
+            capsys, "build-mobius", "--p", "1", "--q", "3", "--theta-steps", "16",
+            "--out", str(target), "--tol", tol,
+        )
+        assert code == 2
+        assert out == ""
+        assert "tol must be positive and finite" in err
+        assert not target.exists()
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "verify-mesh", "--p", "2", "--q", "3",
@@ -236,6 +248,28 @@ class TestSmallCommands:
     def test_unknown_command_exits_1(self, capsys):
         code, _, err = run(capsys, "frobnicate")
         assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--knot", "torus(4,3)", "--format", "off"),
+        ("gaps", "--k-max", "4", "--format", "obj"),
+        ("verify-mesh", "--p", "1", "--q", "3", "--out", "band.off", "--format", "obj"),
+        ("obstruction", "--p", "3", "--q", "5", "--format", "off"),
+        ("homology", "--n", "3", "--format", "obj"),
+        ("twist", "--chi", "-4", "--n", "2", "--format", "off"),
+        ("audit", "--format", "obj"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_mesh_file_format_only_on_build_mobius(capsys, argv):
+    # A mesh-file format means nothing where no mesh file is written: a
+    # usage error, before any file is read.
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "invalid choice" in err
 
 
 class TestAudit:

@@ -114,6 +114,18 @@ def oracle_offcore_points(mesh, params):
     return np.array(points).reshape(-1, 3)
 
 
+def assert_same_point_sets(fast, slow, tol=1e-9):
+    """Every oracle point lies within tol of a library point, and the
+    reverse; the library repeats points, so only the sets are compared."""
+    assert (len(fast) == 0) == (len(slow) == 0)
+    for points, reference in ((slow, fast), (fast, slow)):
+        for start in range(0, len(points), 128):
+            chunk = points[start:start + 128]
+            gaps = np.linalg.norm(chunk[:, None, :] - reference[None, :, :], axis=2)
+            nearest = gaps.min(axis=1)
+            assert nearest.max() <= tol, chunk[nearest.argmax()]
+
+
 # --- brute-force topology reference ------------------------------------------
 
 
@@ -324,6 +336,7 @@ class TestVerification:
         assert abs(d_fast.max() - d_slow.max()) < 1e-9
         tol = 3.0 * mobius.max_edge_length(mesh)
         assert d_slow.max() <= tol
+        assert_same_point_sets(fast, slow)
 
     def test_cut_open_band_matches_oracle(self):
         # The strip columns come from each triangle's first vertex, so they
@@ -340,6 +353,7 @@ class TestVerification:
         d_fast = mobius.distance_to_core_circle(fast, params.ring_radius)
         d_slow = mobius.distance_to_core_circle(slow, params.ring_radius)
         assert len(fast) > 0 and abs(d_fast.max() - d_slow.max()) < 1e-9
+        assert_same_point_sets(fast, slow)
 
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
@@ -365,6 +379,7 @@ class TestVerification:
             d_fast = mobius.distance_to_core_circle(fast, params.ring_radius)
             d_slow = mobius.distance_to_core_circle(slow, params.ring_radius)
             assert abs(d_fast.max() - d_slow.max()) < 1e-9
+        assert_same_point_sets(fast, slow)
 
     def test_scan_memory_is_bounded_by_one_sector(self):
         # 19,200 triangles, 150 per sector: every same- and adjacent-sector
