@@ -120,7 +120,8 @@ def _cmd_build_mobius(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(_canonical_json({**report.to_dict(), "mesh_file": str(out)}))
     else:
-        print(f"wrote {len(export_text.splitlines())} lines to {out}")
+        line_count = export_text.count("\n")
+        print(f"wrote {line_count} lines to {out}")
         _print_mesh_report(report)
     return 0
 
@@ -187,15 +188,21 @@ def _cmd_twist(args: argparse.Namespace) -> int:
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     results = audit_mod.run_audit(seed=args.seed if args.seed is not None else 0)
-    failures = 0
+    failures = sum(not result.ok for result in results)
+    exit_code = AUDIT_EXIT if failures else 0
+    if args.format == "json":
+        suites = [{"name": r.name, "ok": r.ok, "detail": r.detail} for r in results]
+        payload = {"suites": suites, "passed": len(results) - failures,
+                   "failed": failures}
+        print(_canonical_json(payload))
+        return exit_code
     for result in results:
         if result.ok:
             print(f"ok   {result.name}")
         else:
-            failures += 1
             print(f"FAIL {result.name}: {result.detail}")
     print(f"{len(results) - failures}/{len(results)} property suites passed")
-    return AUDIT_EXIT if failures else 0
+    return exit_code
 
 
 _COMMANDS = {

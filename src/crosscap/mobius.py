@@ -23,6 +23,7 @@ edge lengths) read nothing but the vertices and triangles.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, inf, pi
@@ -302,32 +303,49 @@ def boundary_cycles(mesh: ImmersedMobiusMesh) -> list[list[int]]:
 
 
 def _walk_cycles(boundary_edges: np.ndarray) -> list[list[int]]:
-    neighbors: dict[int, list[int]] = {}
-    for a, b in boundary_edges:
-        neighbors.setdefault(int(a), []).append(int(b))
-        neighbors.setdefault(int(b), []).append(int(a))
-    for v, around in neighbors.items():
-        if len(around) != 2:
-            raise MeshStructureError(
-                f"boundary vertex {v} has {len(around)} boundary edges, expected 2"
-            )
-    cycles = []
-    remaining = set(neighbors)
-    while remaining:
-        start = min(remaining)
-        cycle = [start]
-        remaining.discard(start)
-        prev, cur = None, start
-        while True:
-            a, b = neighbors[cur]
-            nxt = b if a == prev else a
-            if nxt == start:
-                break
-            cycle.append(nxt)
-            remaining.discard(nxt)
-            prev, cur = cur, nxt
-        cycles.append(cycle)
-    return cycles
+    """Cycles of the boundary, ordered by their smallest vertex, each
+    starting there and stepping first to its smaller neighbor.
+
+    With two boundary edges at every boundary vertex, a dart (directed
+    boundary edge) v -> w continues as w -> x, x the other neighbor of w,
+    so each boundary cycle is two dart cycles, one per direction.  Pointer
+    jumping finds each dart's smallest dart ahead (its cycle's head) and
+    how far ahead it is; the cycles kept are those whose head leaves the
+    smallest vertex toward its smaller neighbor."""
+    ends = boundary_edges.ravel()
+    vertices, slot, degree = np.unique(ends, return_inverse=True, return_counts=True)
+    bad = degree[slot] != 2
+    if bad.any():
+        first = int(np.argmax(bad))  # the first vertex met along the edge list
+        raise MeshStructureError(
+            f"boundary vertex {ends[first]} has {degree[slot[first]]} boundary "
+            "edges, expected 2"
+        )
+    if not len(vertices):
+        return []
+    # Dart 2v + k runs from v to nbr[v, k], the neighbors in ascending order.
+    a, b = slot.reshape(-1, 2).T
+    src, dst = np.concatenate([a, b]), np.concatenate([b, a])
+    nbr = dst[np.lexsort((dst, src))].reshape(-1, 2)
+    dart = np.arange(2 * len(vertices))
+    to = nbr.ravel()
+    step = 2 * to + (nbr[to, 0] == dart // 2)
+    head, ahead, span = dart, np.zeros_like(dart), 1
+    # Windows of span darts double each round; once no head improves over a
+    # window, none improves over a longer one, so every head is final.
+    while True:
+        head_there = head[step]
+        later = head_there < head
+        if not later.any():
+            break
+        ahead = np.where(later, span + ahead[step], ahead)
+        head = np.where(later, head_there, head)
+        step, span = step[step], 2 * span
+    kept = np.flatnonzero(head % 2 == 0)
+    # Each cycle from its head (ahead 0), then the darts farthest ahead of it.
+    kept = kept[np.lexsort((-ahead[kept], ahead[kept] != 0, head[kept]))]
+    cuts = np.flatnonzero(np.diff(head[kept])) + 1
+    return [cycle.tolist() for cycle in np.split(vertices[kept // 2], cuts)]
 
 
 def euler_characteristic(mesh: ImmersedMobiusMesh) -> int:
@@ -610,24 +628,54 @@ def verify_mesh(
 def export_mesh(mesh: ImmersedMobiusMesh, format: str) -> str:
     """Serialize to OFF or OBJ text (9-decimal coordinates)."""
     fmt = format.lower()
-    verts = mesh.vertices
-    tris = mesh.triangles
     if fmt == "off":
-        lines = ["OFF", f"{len(verts)} {len(tris)} 0"]
-        lines.extend(f"{v[0]:.9f} {v[1]:.9f} {v[2]:.9f}" for v in verts)
-        lines.extend(f"3 {t[0]} {t[1]} {t[2]}" for t in tris)
+        head = f"OFF\n{mesh.vertex_count} {mesh.triangle_count} 0\n"
+        vertex_row, face_row, base = "%.9f %.9f %.9f\n", "3 %d %d %d\n", 0
     elif fmt == "obj":
-        lines = [f"v {v[0]:.9f} {v[1]:.9f} {v[2]:.9f}" for v in verts]
-        lines.extend(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}" for t in tris)
+        head, vertex_row, face_row, base = "", "v %.9f %.9f %.9f\n", "f %d %d %d\n", 1
     else:
         raise ValueError(f"unknown mesh format {format!r}")
-    return "\n".join(lines) + "\n"
+    # Python floats and ints print exactly as the numpy scalars would.
+    text = (
+        head
+        + (vertex_row * mesh.vertex_count) % tuple(mesh.vertices.ravel().tolist())
+        + (face_row * mesh.triangle_count)
+        % tuple((mesh.triangles + base).ravel().tolist())
+    )
+    return text or "\n"  # an empty OBJ file is one empty line
+
+
+_NOT_TRIANGLES = "only triangle faces are supported"
+_OBJ_FACE = np.dtype([("tag", "U1"), ("index", np.int32, (3,))])
+
+
+def _tagged_rows(lines: list[str], tag: str) -> list[str]:
+    """The OBJ lines whose first whitespace-separated token is tag."""
+    return [ln for ln in lines if ln[0] == tag and (ln == tag or ln[1].isspace())]
+
+
+def _read_columns(
+    rows: list[str], columns: tuple[int, ...], dtype: type, comments: Optional[str]
+) -> np.ndarray:
+    """The given whitespace-separated columns of each row, converted by
+    numpy's C text reader; a row may have more columns, which are not read."""
+    if not rows:
+        return np.empty((0, len(columns)), dtype)
+    return np.loadtxt(rows, dtype=dtype, comments=comments, usecols=columns, ndmin=2)
 
 
 def parse_mesh_text(text: str) -> tuple[np.ndarray, np.ndarray]:
     """Read OFF or OBJ text back into (vertices, triangles) arrays; the face
-    count must fit the triangle budget before any row is converted."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    count must fit the triangle budget before any row is converted.
+
+    A vertex row gives its first three numbers.  A face row lists exactly
+    three vertex indices: "3 i j k" in OFF, maybe followed by a color, or
+    "f i j k" in OBJ, where an index may carry /texture/normal references.
+    OBJ skips other lines and trailing # comments; an OFF body has none.
+    When numpy's reader fails on face rows, a recount of their fields tells
+    a non-triangle face from a bad number.
+    """
+    lines = list(filter(None, map(str.strip, text.splitlines())))
     if not lines:
         raise ValueError("empty mesh file")
     if lines[0] == "OFF":
@@ -636,30 +684,34 @@ def parse_mesh_text(text: str) -> tuple[np.ndarray, np.ndarray]:
             raise ValueError("OFF header needs vertex and face counts")
         n_verts, n_faces = int(counts[0]), int(counts[1])
         _check_triangle_budget(n_faces, "mesh file has")
-        verts = [[float(x) for x in ln.split()] for ln in lines[2:2 + n_verts]]
-        faces = []
-        for ln in lines[2 + n_verts:2 + n_verts + n_faces]:
-            parts = ln.split()
-            if parts[0] != "3":
-                raise ValueError("only triangle faces are supported")
-            faces.append([int(x) for x in parts[1:4]])
-        if len(verts) != n_verts or len(faces) != n_faces:
+        vertex_rows = lines[2:2 + n_verts]
+        face_rows = lines[2 + n_verts:2 + n_verts + n_faces]
+        if len(vertex_rows) != n_verts or len(face_rows) != n_faces:
             raise ValueError("OFF body shorter than its header counts")
-    else:
-        kinds = [ln.split(None, 1)[0] for ln in lines]
-        _check_triangle_budget(kinds.count("f"), "mesh file has")
-        verts, faces = [], []
-        for kind, ln in zip(kinds, lines):
-            if kind == "v":
-                verts.append([float(x) for x in ln.split()[1:4]])
-            elif kind == "f":
-                faces.append([int(x.split("/")[0]) - 1 for x in ln.split()[1:4]])
-        if not verts or not faces:
-            raise ValueError("not an OFF or OBJ triangle mesh")
-    return (
-        np.array(verts, dtype=np.float64).reshape(-1, 3),
-        np.array(faces, dtype=np.int32).reshape(-1, 3),
-    )
+        vertices = _read_columns(vertex_rows, (0, 1, 2), np.float64, None)
+        try:
+            faces = _read_columns(face_rows, (0, 1, 2, 3), np.int32, None)
+        except ValueError:
+            if any(len(row.split()) < 4 for row in face_rows):
+                raise ValueError(_NOT_TRIANGLES) from None
+            raise
+        if (faces[:, 0] != 3).any():
+            raise ValueError(_NOT_TRIANGLES)
+        return vertices, np.ascontiguousarray(faces[:, 1:])
+    vertex_rows, face_rows = _tagged_rows(lines, "v"), _tagged_rows(lines, "f")
+    _check_triangle_budget(len(face_rows), "mesh file has")
+    if not vertex_rows or not face_rows:
+        raise ValueError("not an OFF or OBJ triangle mesh")
+    vertices = _read_columns(vertex_rows, (1, 2, 3), np.float64, "#")
+    if "/" in text:  # drop the /texture/normal references of face indices
+        face_rows = re.sub(r"(?<=\S)/\S*", "", "\n".join(face_rows)).split("\n")
+    try:
+        faces = np.loadtxt(face_rows, dtype=_OBJ_FACE, comments="#", ndmin=1)
+    except ValueError:
+        if any(len(row.split("#", 1)[0].split()) != 4 for row in face_rows):
+            raise ValueError(_NOT_TRIANGLES) from None
+        raise
+    return vertices, faces["index"] - 1
 
 
 def rebuild_for_file(

@@ -291,3 +291,23 @@ class TestAudit:
         code, out, _ = run(capsys, "audit")
         assert code == 3
         assert "FAIL forced failure" in out
+
+    def test_audit_json_failure_exits_3(self, capsys, monkeypatch):
+        from crosscap.audit import CheckResult
+
+        monkeypatch.setattr(
+            cli.audit_mod,
+            "run_audit",
+            lambda seed=0: [CheckResult("fine", True),
+                            CheckResult("forced failure", False, "boom")],
+        )
+        code, out, _ = run(capsys, "audit", "--format", "json")
+        assert code == 3
+        assert json.loads(out) == {
+            "suites": [
+                {"name": "fine", "ok": True, "detail": ""},
+                {"name": "forced failure", "ok": False, "detail": "boom"},
+            ],
+            "passed": 1,
+            "failed": 1,
+        }

@@ -53,6 +53,7 @@ CASES = [
     {"argv": ["twist", "--chi", "-4", "--n", "2"]},
     {"argv": ["twist", "--chi", "-10", "--n", "3", "--format", "json"]},
     {"argv": ["audit", "--seed", "0"]},
+    {"argv": ["audit", "--seed", "0", "--format", "json"]},
     {"argv": ["classify"]},
     {"argv": ["classify", "--knot", "torus(4,6)"]},
     {"setup": [_MESH_OFF],

@@ -11,7 +11,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crosscap import mobius
@@ -176,6 +176,116 @@ def reference_is_orientable(triangles):
                     elif flags[other] != needed:
                         return False
     return True
+
+
+def reference_walk_cycles(boundary_edges):
+    """Boundary cycles by walking a vertex -> neighbors dict."""
+    neighbors = {}
+    for a, b in boundary_edges:
+        neighbors.setdefault(int(a), []).append(int(b))
+        neighbors.setdefault(int(b), []).append(int(a))
+    for v, around in neighbors.items():
+        if len(around) != 2:
+            raise MeshStructureError(
+                f"boundary vertex {v} has {len(around)} boundary edges, expected 2"
+            )
+    cycles = []
+    remaining = set(neighbors)
+    while remaining:
+        start = min(remaining)
+        cycle = [start]
+        remaining.discard(start)
+        prev, cur = None, start
+        while True:
+            a, b = neighbors[cur]
+            nxt = b if a == prev else a
+            if nxt == start:
+                break
+            cycle.append(nxt)
+            remaining.discard(nxt)
+            prev, cur = cur, nxt
+        cycles.append(cycle)
+    return cycles
+
+
+def cycles_or_error(walk, boundary_edges):
+    try:
+        return walk(boundary_edges)
+    except MeshStructureError as exc:
+        return str(exc)
+
+
+# --- per-line mesh-file reference ------------------------------------------
+
+
+def reference_export_mesh(mesh, format):
+    """One f-string per vertex and face row, over numpy scalars."""
+    fmt = format.lower()
+    verts = mesh.vertices
+    tris = mesh.triangles
+    if fmt == "off":
+        lines = ["OFF", f"{len(verts)} {len(tris)} 0"]
+        lines.extend(f"{v[0]:.9f} {v[1]:.9f} {v[2]:.9f}" for v in verts)
+        lines.extend(f"3 {t[0]} {t[1]} {t[2]}" for t in tris)
+    elif fmt == "obj":
+        lines = [f"v {v[0]:.9f} {v[1]:.9f} {v[2]:.9f}" for v in verts]
+        lines.extend(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}" for t in tris)
+    else:
+        raise ValueError(f"unknown mesh format {format!r}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_parse_mesh_text(text):
+    """Python conversion of every field, line by line.  It truncates an OBJ
+    quad to its first three indices and reshapes the extra columns of OFF
+    vertex rows into extra vertices; the library rejects the first and
+    reads the first three numbers of each row."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty mesh file")
+    if lines[0] == "OFF":
+        counts = lines[1].split() if len(lines) > 1 else []
+        if len(counts) < 2:
+            raise ValueError("OFF header needs vertex and face counts")
+        n_verts, n_faces = int(counts[0]), int(counts[1])
+        mobius._check_triangle_budget(n_faces, "mesh file has")
+        verts = [[float(x) for x in ln.split()] for ln in lines[2:2 + n_verts]]
+        faces = []
+        for ln in lines[2 + n_verts:2 + n_verts + n_faces]:
+            parts = ln.split()
+            if parts[0] != "3":
+                raise ValueError("only triangle faces are supported")
+            faces.append([int(x) for x in parts[1:4]])
+        if len(verts) != n_verts or len(faces) != n_faces:
+            raise ValueError("OFF body shorter than its header counts")
+    else:
+        kinds = [ln.split(None, 1)[0] for ln in lines]
+        mobius._check_triangle_budget(kinds.count("f"), "mesh file has")
+        verts, faces = [], []
+        for kind, ln in zip(kinds, lines):
+            if kind == "v":
+                verts.append([float(x) for x in ln.split()[1:4]])
+            elif kind == "f":
+                faces.append([int(x.split("/")[0]) - 1 for x in ln.split()[1:4]])
+        if not verts or not faces:
+            raise ValueError("not an OFF or OBJ triangle mesh")
+    return (
+        np.array(verts, dtype=np.float64).reshape(-1, 3),
+        np.array(faces, dtype=np.int32).reshape(-1, 3),
+    )
+
+
+def parsed_or_error(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def assert_same_arrays(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g, w, equal_nan=True)
 
 
 def with_triangles(mesh, triangles):
@@ -571,6 +681,92 @@ class TestEdgeTable:
         assert table.counts.tolist() == [counts[e] for e in sorted(counts)]
         assert mobius.euler_characteristic(mesh) == reference_euler(tris)
         assert mobius.is_orientable(mesh) == reference_is_orientable(tris)
+        edges = mesh.boundary_edges
+        assert mobius._walk_cycles(edges) == reference_walk_cycles(edges)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_cycles_match_dict_walk_with_triangles_removed(self, data):
+        # Holes add boundary cycles; a removed triangle that meets the
+        # boundary, or two holes touching at a vertex, leaves a vertex with
+        # four or more boundary edges, which both must report alike.
+        p = data.draw(st.integers(1, 2), label="p")
+        q = data.draw(st.sampled_from([-3, -1, 1, 3, 5]), label="q")
+        mesh, params = small_mesh(p, q, chord=data.draw(st.integers(2, 6), label="chord"))
+        if data.draw(st.booleans(), label="cut"):
+            mesh = cut_open(mesh, params)  # p strips, p boundary cycles
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        relabel = rng.permutation(mesh.vertex_count).astype(np.int32)
+        keep = rng.random(mesh.triangle_count) >= data.draw(
+            st.sampled_from([0.0, 0.005, 0.02, 0.3]), label="drop"
+        )
+        edges = with_triangles(mesh, relabel[mesh.triangles[keep]]).boundary_edges
+        assert cycles_or_error(mobius._walk_cycles, edges) == cycles_or_error(
+            reference_walk_cycles, edges
+        )
+
+
+# Signed zeros, values that round to +-0 or sit near a 9-decimal rounding
+# tie, exact binary ties (k/1024 has ten decimals ending in 5), huge
+# magnitudes, and non-finite values.
+_COORDINATE = st.one_of(
+    st.sampled_from([
+        0.0, -0.0, 1e-12, -1e-12, 5e-10, -5e-10, 1.5e-9, -2.5e-9,
+        1 / 1024, -3 / 1024, 1 + 5 / 1024, 1e300, -1.7976931348623157e308,
+        float("nan"), float("inf"), float("-inf"),
+    ]),
+    st.floats(),
+)
+_INDEX = st.integers(0, 2**31 - 2)
+
+_TRIANGLE = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+_SQUARE = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+_OBJ_TRIANGLE = "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
+_OFF_TRIANGLE = "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n"
+_ONE_FACE = (_TRIANGLE, np.array([[0, 1, 2]], dtype=np.int32))
+_NOT_TRIANGLES = "only triangle faces are supported"
+
+# (text, what parse_mesh_text gives: arrays, or an error pattern with ""
+# for any message, whether the per-line reference agrees).  The reference
+# misread both cases marked False: it truncated the OBJ quad and turned 4
+# colored vertices into 8.
+MESH_FILE_CASES = [
+    pytest.param(_OBJ_TRIANGLE + "v 1 1 0\nf 1 2 3 4\n", _NOT_TRIANGLES, False,
+                 id="obj-quad"),
+    pytest.param(_OBJ_TRIANGLE + "f 1 2\n", _NOT_TRIANGLES, True, id="obj-two-indices"),
+    pytest.param(_OBJ_TRIANGLE + "f 1 2 3\nf\n", _NOT_TRIANGLES, True,
+                 id="obj-bare-f"),
+    pytest.param("OFF\n4 1 0\n0 0 0\n1 0 0\n0 1 0\n1 1 0\n4 0 1 3 2\n",
+                 _NOT_TRIANGLES, True, id="off-quad"),
+    pytest.param("OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 0 1\n", _NOT_TRIANGLES,
+                 True, id="off-two-indices"),
+    pytest.param(
+        "OFF\n4 2 0\n0 0 0 255 0 0\n1 0 0 0 255 0\n0 1 0 0 0 255\n1 1 0 9 9 9\n"
+        "3 0 1 2\n3 1 3 2\n",
+        (_SQUARE, np.array([[0, 1, 2], [1, 3, 2]], dtype=np.int32)), False,
+        id="off-vertex-colors"),
+    pytest.param(_OFF_TRIANGLE + "3 0 1 2 255 0 0\n", _ONE_FACE, True, id="off-face-color"),
+    pytest.param(_OBJ_TRIANGLE + "f 1/4/7 2/5/8 3/6/9\n", _ONE_FACE, True,
+                 id="obj-texture-normal"),
+    pytest.param(_OBJ_TRIANGLE + "f 1//7 2//8 3//9\n", _ONE_FACE, True, id="obj-normal"),
+    pytest.param("# made by hand\no tri\n" + _OBJ_TRIANGLE
+                 + "vn 0 0 1\nvt 0.5 0.5\ng side\ns off\nf 1 2 3\n",
+                 _ONE_FACE, True, id="obj-other-lines"),
+    pytest.param("v 0 0 0 # origin\nv 1 0 0 1.0\nv 0 1 0\nf 1 2 3 # the face\n",
+                 _ONE_FACE, True, id="obj-trailing-comment-and-w"),
+    pytest.param("\r\n  OFF\r\n3 1 0\r\n\r\n 0 0 0\r\n1\t0 0\r\n0 1 0\r\n3 0 1 2\r\n",
+                 _ONE_FACE, True, id="off-blank-lines-crlf"),
+    pytest.param("OFF\n3 1 0\n0 0 0\n1 0\n0 1 0\n3 0 1 2\n", "", True,
+                 id="off-two-column-row"),
+    pytest.param("v 0 0 0\nv 1 0\nv 0 1 0\nf 1 2 3\n", "", True, id="obj-two-column-row"),
+    pytest.param("OFF\n3 1 0\n# a comment\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", "",
+                 True, id="off-comment-line"),
+    pytest.param(_OFF_TRIANGLE + "# a comment\n3 0 1 2\n", _NOT_TRIANGLES, True,
+                 id="off-comment-line-among-faces"),
+    pytest.param(_OFF_TRIANGLE, "shorter than its header", True, id="off-short-body"),
+    pytest.param(_OBJ_TRIANGLE + "f 1 2 x\n", "", True, id="obj-bad-index"),
+    pytest.param(_OBJ_TRIANGLE + "f 1/1 /2 2 3\n", "", True, id="obj-index-without-vertex"),
+]
 
 
 class TestMeshFormats:
@@ -637,6 +833,40 @@ class TestMeshFormats:
             text = "v x y z\n" * 3 + "f 1 2 3\n" * 11
         with pytest.raises(MeshParameterError, match="11 triangles, over the budget 10"):
             mobius.parse_mesh_text(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        vertices=st.lists(st.tuples(_COORDINATE, _COORDINATE, _COORDINATE), max_size=12),
+        triangles=st.lists(st.tuples(_INDEX, _INDEX, _INDEX), max_size=12),
+        fmt=st.sampled_from(["off", "obj", "OFF"]),
+    )
+    @example(vertices=[], triangles=[], fmt="obj")  # an empty OBJ file is "\n"
+    def test_matches_per_line_reference(self, vertices, triangles, fmt):
+        mesh = ImmersedMobiusMesh(
+            vertices=np.array(vertices, dtype=np.float64).reshape(-1, 3),
+            triangles=np.array(triangles, dtype=np.int32).reshape(-1, 3),
+        )
+        text = mobius.export_mesh(mesh, fmt)
+        assert text == reference_export_mesh(mesh, fmt)
+        got = parsed_or_error(mobius.parse_mesh_text, text)
+        want = parsed_or_error(reference_parse_mesh_text, text)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert_same_arrays(got, want)
+
+    @pytest.mark.parametrize("text, expected, reference_agrees", MESH_FILE_CASES)
+    def test_accepts_and_rejects(self, text, expected, reference_agrees):
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=expected or None):
+                mobius.parse_mesh_text(text)
+            if reference_agrees:
+                assert isinstance(parsed_or_error(reference_parse_mesh_text, text), str)
+            return
+        got = mobius.parse_mesh_text(text)
+        assert_same_arrays(got, expected)
+        if reference_agrees:
+            assert_same_arrays(got, reference_parse_mesh_text(text))
 
     def test_rebuild_rejects_wrong_parameters(self):
         mesh, _ = small_mesh(2, 3, theta=24)
