@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, pi
 from typing import Callable
 
 from . import homology, invariants, knots, mobius, words
@@ -79,12 +79,10 @@ def _gamma_i_decision_surface() -> None:
         for b in range(-30, 31):
             if a == 0 or b == 0 or gcd(abs(a), abs(b)) != 1:
                 continue
-            k = knots.TorusKnot(knots.TorusParams(a, b))
-            value = invariants.gamma_I(k)
-            norm = knots.normalize_torus(knots.TorusParams(a, b))
-            if norm is None:
+            value = invariants.gamma_I(knots.TorusKnot(knots.TorusParams(a, b)))
+            if min(abs(a), abs(b)) == 1:
                 assert value.is_known and value.value == 0, f"unknot case ({a},{b})"
-            elif norm.winding % 2 == 0 or norm.meridional % 2 == 0:
+            elif a % 2 == 0 or b % 2 == 0:
                 assert value.is_known and value.value == 1, f"even case ({a},{b})"
             else:
                 assert value.kind is invariants.ValueKind.LOWER_BOUND
@@ -92,15 +90,17 @@ def _gamma_i_decision_surface() -> None:
 
 
 def _gamma_i_cables() -> None:
+    trefoil = knots.TorusKnot(knots.TorusParams(2, 3))
     companions = [
-        knots.TorusKnot(knots.TorusParams(2, 3)),
-        knots.TorusKnot(knots.TorusParams(3, 5)),
+        trefoil,
         knots.TorusKnot(knots.TorusParams(2, 5)),
+        knots.TorusKnot(knots.TorusParams(3, 5)),
+        knots.CableKnot(knots.TorusParams(4, 3), trefoil),
     ]
     for companion in companions:
-        for winding in range(2, 11):
-            for meridional in range(1, 11):
-                if gcd(winding, meridional) != 1:
+        for winding in (*range(2, 11), *range(-10, -1)):
+            for meridional in range(-10, 11):
+                if meridional == 0 or gcd(abs(winding), abs(meridional)) != 1:
                     continue
                 k = knots.CableKnot(knots.TorusParams(winding, meridional), companion)
                 value = invariants.gamma_I(k)
@@ -108,6 +108,7 @@ def _gamma_i_cables() -> None:
                     assert value.is_known and value.value == 1, f"cable {k}"
                 else:
                     assert value.kind is invariants.ValueKind.LOWER_BOUND, f"cable {k}"
+                    assert value.value == 2, f"cable {k}"
 
 
 def _genus_families() -> None:
@@ -127,9 +128,9 @@ def _gap_growth() -> None:
     rows = invariants.gap_table(50)
     previous = None
     for k, row in zip(range(2, 51), rows):
-        assert row.gamma_i.value == 1
-        assert row.gamma_3.value == k
-        assert row.gamma_4.value == k - 1
+        assert row.gamma_i.is_known and row.gamma_i.value == 1
+        assert row.gamma_3.is_known and row.gamma_3.value == k
+        assert row.gamma_4.is_known and row.gamma_4.value == k - 1
         assert row.gamma_3.value >= row.gamma_4.value
         assert row.gap_3i == k - 1 and row.gap_4i == k - 2
         if previous is not None:
@@ -151,6 +152,11 @@ def _mesh_certification() -> None:
         assert report.boundary_component_count == 1, f"boundary for ({p},{q})"
         assert not report.orientable, f"orientability for ({p},{q})"
         assert report.boundary_class == (2 * p, q), f"class for ({p},{q})"
+        theta_total, phi_total = mobius.boundary_winding_angles(
+            mesh, params.ring_radius
+        )
+        assert abs(theta_total - 2 * pi * 2 * p) < 1e-6, f"winding for ({p},{q})"
+        assert abs(phi_total - 2 * pi * q) < 1e-6, f"winding for ({p},{q})"
         assert report.core_multiplicity == p, f"core sheets for ({p},{q})"
         assert report.max_offcore_selfintersection_distance <= report.tolerance, (
             f"double points stray {report.max_offcore_selfintersection_distance} "
@@ -161,31 +167,31 @@ def _mesh_certification() -> None:
             assert len(points) == 0, "p=1 band must be embedded"
 
 
+# Every valid (p, q) with 2p|q| <= 40, both signs of q.
+_SMALL_BANDS = [
+    (p, q)
+    for p in range(1, 21)
+    for q in range(-20, 21)
+    if q != 0 and gcd(2 * p, abs(q)) == 1 and 2 * p * abs(q) <= 40
+]
+
+
 def _mesh_monodromy() -> None:
-    for p in range(1, 21):
-        for q in range(-20, 21):
-            if q == 0 or gcd(2 * p, abs(q)) != 1 or 2 * p * abs(q) > 40:
-                continue
-            length, flipped = mobius.chord_cycle(p, q)
-            assert length == p, f"chord cycle for ({p},{q}) has length {length}"
-            assert flipped, f"chord cycle for ({p},{q}) came back unflipped"
+    for p, q in _SMALL_BANDS:
+        length, flipped = mobius.chord_cycle(p, q)
+        assert length == p, f"chord cycle for ({p},{q}) has length {length}"
+        assert flipped, f"chord cycle for ({p},{q}) came back unflipped"
 
 
 def _mesh_small_parameter_sweep() -> None:
-    p = 1
-    while 2 * p <= 40:
-        for q_abs in range(1, 40 // (2 * p) + 1):
-            if gcd(2 * p, q_abs) != 1:
-                continue
-            for q in (q_abs, -q_abs):
-                params = mobius.SweepParams(
-                    p=p, q=q, theta_steps=max(8, 4 * p * q_abs), chord_steps=3
-                )
-                mesh = mobius.build_mobius(params)
-                assert mobius.euler_characteristic(mesh) == 0, f"chi ({p},{q})"
-                assert len(mobius.boundary_cycles(mesh)) == 1, f"boundary ({p},{q})"
-                assert not mobius.is_orientable(mesh), f"orientable ({p},{q})"
-        p += 1
+    for p, q in _SMALL_BANDS:
+        params = mobius.SweepParams(
+            p=p, q=q, theta_steps=max(8, 4 * p * abs(q)), chord_steps=3
+        )
+        mesh = mobius.build_mobius(params)
+        assert mobius.euler_characteristic(mesh) == 0, f"chi ({p},{q})"
+        assert len(mobius.boundary_cycles(mesh)) == 1, f"boundary ({p},{q})"
+        assert not mobius.is_orientable(mesh), f"orientable ({p},{q})"
 
 
 def _mesh_refinement_stability() -> None:
@@ -287,19 +293,25 @@ def _twist_monotonicity() -> None:
             prev = p
 
 
+def _twist_contradicts(chi: int, n: int, p: int) -> bool:
+    """Both spanning-surface readings fail for T(2n-1, 2n+p(2n-1)), by the
+    genus and crosscap formulas of the invariants module."""
+    t = knots.TorusParams(2 * n - 1, 2 * n + p * (2 * n - 1))
+    genus = invariants.seifert_genus_torus(t).value
+    return 1 - 2 * genus < chi and invariants.gamma3_torus(t).value > 1 - chi
+
+
 def _genus_cross_check() -> None:
     # The closed-form twist count is the least even p at which invariants'
     # genus and crosscap formulas both rule the surface out.
-    def contradicts(chi: int, n: int, p: int) -> bool:
-        t = knots.TorusParams(2 * n - 1, 2 * n + p * (2 * n - 1))
-        genus = invariants.seifert_genus_torus(t).value
-        return 1 - 2 * genus < chi and invariants.gamma3_torus(t).value > 1 - chi
-
     for n in range(2, 11):
         for chi in range(1, -21, -1):
             p = homology.minimal_twist_contradiction(chi, n)
-            assert contradicts(chi, n, p), f"no contradiction at ({chi},{n})"
-            assert p == 0 or not contradicts(chi, n, p - 2), f"not least at ({chi},{n})"
+            assert p % 2 == 0, f"odd twist count at ({chi},{n})"
+            assert _twist_contradicts(chi, n, p), f"no contradiction at ({chi},{n})"
+            assert p == 0 or not _twist_contradicts(chi, n, p - 2), (
+                f"not least at ({chi},{n})"
+            )
 
 
 def run_audit(seed: int = 0) -> list[CheckResult]:

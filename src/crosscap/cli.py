@@ -187,7 +187,7 @@ def _cmd_twist(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    results = audit_mod.run_audit(seed=args.seed if args.seed is not None else 0)
+    results = audit_mod.run_audit(seed=args.seed)
     failures = sum(not result.ok for result in results)
     exit_code = AUDIT_EXIT if failures else 0
     if args.format == "json":
@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
 
     p = add("audit", "run every property suite; nonzero exit on any failure")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
 
     return parser
 
@@ -284,13 +284,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return USAGE_EXIT
-    except (
-        knots.KnotGrammarError,
-        knots.InvalidPresentationError,
-        mobius.MeshStructureError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:  # knot and mesh errors are ValueErrors
         print(f"crosscap: {exc}", file=sys.stderr)
         return VALIDATION_EXIT
 

@@ -93,6 +93,12 @@ def test_cli_output_matches_golden(case, golden, capsys):
     assert got["stdout"] == expected["stdout"]
 
 
+def test_golden_holds_exactly_the_cases():
+    # A case dropped from CASES must not leave an orphan capture behind.
+    captured = [_case_id(entry) for entry in json.loads(GOLDEN.read_text())]
+    assert captured == [_case_id(case) for case in CASES]
+
+
 def test_golden_covers_every_command():
     commands = {case["argv"][0] for case in CASES}
     assert commands == set(cli._COMMANDS)

@@ -80,20 +80,6 @@ class TestGammaI:
         with pytest.raises(knots.InvalidPresentationError):
             invariants.gamma_I(torus(4, 6))
 
-    def test_exhaustive_decision_surface(self):
-        for a in range(-30, 31):
-            for b in range(-30, 31):
-                if a == 0 or b == 0 or gcd(abs(a), abs(b)) != 1:
-                    continue
-                value = invariants.gamma_I(torus(a, b))
-                aa, bb = abs(a), abs(b)
-                if min(aa, bb) <= 1:
-                    assert value.is_known and value.value == 0
-                elif aa % 2 == 0 or bb % 2 == 0:
-                    assert value.is_known and value.value == 1
-                else:
-                    assert value.kind is ValueKind.LOWER_BOUND and value.value == 2
-
     @given(
         a=st.integers(min_value=-40, max_value=40).filter(lambda n: n != 0),
         b=st.integers(min_value=-40, max_value=40).filter(lambda n: n != 0),
@@ -143,19 +129,6 @@ class TestClosedForms:
     def test_gamma4_unknown(self, params):
         assert invariants.gamma4_torus(TorusParams(*params)).kind is ValueKind.UNKNOWN
 
-    def test_twisted_families_match_closed_forms(self):
-        for n in range(2, 11):
-            for p in range(0, 11, 2):
-                t = TorusParams(2 * n - 1, 2 * n + p * (2 * n - 1))
-                assert invariants.seifert_genus_torus(t).value == (
-                    (n - 1) * (2 * n - 1) * (1 + p)
-                )
-                assert invariants.gamma3_torus(t).value == (p + 2 * n) // 2
-                u = TorusParams(2 * n, 2 * n - 1 + 2 * p * n)
-                assert invariants.seifert_genus_torus(u).value == (
-                    (2 * n - 1) * (n - 1 + p * n)
-                )
-
 
 class TestPrimality:
     def test_examples(self):
@@ -185,15 +158,6 @@ class TestReports:
     def test_gap_table_rejects_small_k(self):
         with pytest.raises(ValueError):
             invariants.gap_table(1)
-
-    def test_gap_growth_to_50(self):
-        rows = invariants.gap_table(50)
-        gaps = [(r.gap_3i, r.gap_4i) for r in rows]
-        for r in rows:
-            assert r.gamma_3.value >= r.gamma_4.value
-            assert r.gamma_3.value >= r.gamma_i.value
-        assert gaps == sorted(gaps)
-        assert all(g1 < g2 for (g1, _), (g2, _) in zip(gaps, gaps[1:]))
 
     def test_slice_external_gets_gamma4_zero(self):
         k = ExternalKnot("6_1", PropertyFlags(hyperbolic=True, slice=True))

@@ -3,7 +3,7 @@
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from crosscap import knots
@@ -18,10 +18,37 @@ from crosscap.knots import (
 )
 
 nonzero_ints = st.integers(min_value=-60, max_value=60).filter(lambda n: n != 0)
+torus_params = st.builds(TorusParams, nonzero_ints, nonzero_ints)
+tri_state = st.sampled_from((None, True, False))
 
 
 def torus(a, b):
     return TorusKnot(TorusParams(a, b))
+
+
+def cable_over(patterns, companion):
+    for params in patterns:
+        companion = CableKnot(params, companion)
+    return companion
+
+
+# Presentations need not be valid to round-trip.  Each extension wraps up to
+# six cables, so with five levels the cables nest up to 30 deep.
+presentations = st.recursive(
+    st.one_of(
+        st.just(UNKNOT),
+        st.builds(TorusKnot, torus_params),
+        st.builds(
+            ExternalKnot,
+            st.from_regex(r"[A-Za-z0-9_.-]+", fullmatch=True),
+            st.builds(PropertyFlags, tri_state, tri_state),
+        ),
+    ),
+    lambda inner: st.builds(
+        cable_over, st.lists(torus_params, min_size=1, max_size=6), inner
+    ),
+    max_leaves=30,
+)
 
 
 class TestValidate:
@@ -159,17 +186,7 @@ class TestGrammar:
         with pytest.raises(KnotGrammarError):
             knots.parse_knot(bad)
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "unknot",
-            "torus(3,4)",
-            "cable(4,3; torus(2,3))",
-            "cable(6,5; cable(4,3; torus(2,3)))",
-            "external(6_1; hyperbolic=yes, slice=yes)",
-            "external(granny)",
-        ],
-    )
-    def test_round_trip(self, text):
-        k = knots.parse_knot(text)
+    @given(k=presentations)
+    @example(k=cable_over([TorusParams(-4, 3)] * 30, ExternalKnot("k.1-a")))
+    def test_round_trip(self, k):
         assert knots.parse_knot(knots.format_knot(k)) == k

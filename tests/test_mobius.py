@@ -384,35 +384,6 @@ class TestConstruction:
             assert flipped
 
 
-def all_small_sweeps(product_bound=40):
-    """Every valid (p, q) with 2p|q| <= product_bound, both signs of q."""
-    out = []
-    from math import gcd
-    p = 1
-    while 2 * p <= product_bound:
-        for q_abs in range(1, product_bound // (2 * p) + 1):
-            if gcd(2 * p, q_abs) == 1:
-                out.extend([(p, q_abs), (p, -q_abs)])
-        p += 1
-    return out
-
-
-class TestSmallParameterSweep:
-    def test_every_small_band_is_a_mobius_band(self):
-        # chi, boundary count and orientability re-derived by the three
-        # independent mesh algorithms for every valid pair with 2p|q| <= 40.
-        for p, q in all_small_sweeps(40):
-            params = SweepParams(
-                p=p, q=q, theta_steps=max(8, 4 * p * abs(q)), chord_steps=3
-            )
-            mesh = mobius.build_mobius(params)
-            assert mobius.euler_characteristic(mesh) == 0, (p, q)
-            assert len(mobius.boundary_cycles(mesh)) == 1, (p, q)
-            assert not mobius.is_orientable(mesh), (p, q)
-            length, flipped = mobius.chord_cycle(p, q)
-            assert length == p and flipped, (p, q)
-
-
 class TestVerification:
     @pytest.mark.parametrize("p, q", [(1, 3), (2, 3), (3, 5)])
     def test_band_topology(self, p, q):
