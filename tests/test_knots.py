@@ -186,7 +186,22 @@ class TestGrammar:
         with pytest.raises(KnotGrammarError):
             knots.parse_knot(bad)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "unknot",
+            "torus(3,4)",
+            "cable(4,3; torus(2,3))",
+            "cable(6,5; cable(4,3; torus(2,3)))",
+            "external(6_1; hyperbolic=yes, slice=yes)",
+            "external(granny)",
+        ],
+    )
+    def test_round_trip(self, text):
+        k = knots.parse_knot(text)
+        assert knots.parse_knot(knots.format_knot(k)) == k
+
     @given(k=presentations)
     @example(k=cable_over([TorusParams(-4, 3)] * 30, ExternalKnot("k.1-a")))
-    def test_round_trip(self, k):
+    def test_round_trip_generated(self, k):
         assert knots.parse_knot(knots.format_knot(k)) == k
