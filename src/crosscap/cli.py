@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 1 usage error, 2 validation or input error,
 3 property-suite failure (``audit`` only).
+
+The numpy-backed modules ``mobius`` and ``audit`` are imported inside the
+commands that use them, so every other command starts without numpy.
 """
 
 from __future__ import annotations
@@ -10,10 +13,12 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import audit as audit_mod
-from . import homology, invariants, knots, mobius, words
+from . import homology, invariants, knots, words
+
+if TYPE_CHECKING:
+    from . import mobius
 
 USAGE_EXIT = 1
 VALIDATION_EXIT = 2
@@ -105,6 +110,8 @@ def _mesh_file_format(args: argparse.Namespace, out: Path) -> str:
 
 def _cmd_build_mobius(args: argparse.Namespace) -> int:
     _require(args, ["p", "q", "out"], "build-mobius")
+    from . import mobius
+
     params = mobius.SweepParams(
         p=args.p,
         q=args.q,
@@ -128,6 +135,8 @@ def _cmd_build_mobius(args: argparse.Namespace) -> int:
 
 def _cmd_verify_mesh(args: argparse.Namespace) -> int:
     _require(args, ["p", "q", "out"], "verify-mesh")
+    from . import mobius
+
     text = Path(args.out).read_text()
     vertices, triangles = mobius.parse_mesh_text(text)
     mesh, params = mobius.rebuild_for_file(args.p, args.q, vertices, triangles)
@@ -187,7 +196,9 @@ def _cmd_twist(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    results = audit_mod.run_audit(seed=args.seed)
+    from . import audit
+
+    results = audit.run_audit(seed=args.seed)
     failures = sum(not result.ok for result in results)
     exit_code = AUDIT_EXIT if failures else 0
     if args.format == "json":

@@ -281,25 +281,25 @@ class TestAudit:
         assert "property suites passed" in lines[-1]
 
     def test_audit_failure_exits_3(self, capsys, monkeypatch):
-        from crosscap.audit import CheckResult
+        from crosscap import audit
 
         monkeypatch.setattr(
-            cli.audit_mod,
+            audit,
             "run_audit",
-            lambda seed=0: [CheckResult("forced failure", False, "boom")],
+            lambda seed=0: [audit.CheckResult("forced failure", False, "boom")],
         )
         code, out, _ = run(capsys, "audit")
         assert code == 3
         assert "FAIL forced failure" in out
 
     def test_audit_json_failure_exits_3(self, capsys, monkeypatch):
-        from crosscap.audit import CheckResult
+        from crosscap import audit
 
         monkeypatch.setattr(
-            cli.audit_mod,
+            audit,
             "run_audit",
-            lambda seed=0: [CheckResult("fine", True),
-                            CheckResult("forced failure", False, "boom")],
+            lambda seed=0: [audit.CheckResult("fine", True),
+                            audit.CheckResult("forced failure", False, "boom")],
         )
         code, out, _ = run(capsys, "audit", "--format", "json")
         assert code == 3

@@ -4,13 +4,17 @@ capture in tests/golden/cli.json.
 Each case runs ``cli.main`` in-process on its argv, after running the argv
 lists in its ``setup`` field (output ignored).  ``{tmp}`` in an argv stands
 for a fresh temporary directory and is written back as ``{tmp}`` in stdout,
-so captures do not depend on where they were taken.
+so captures do not depend on where they were taken.  The two ``audit
+--seed 0`` cases share one real run of the suites: ``run_audit`` is
+deterministic for a seed, and each case still formats and compares the
+real results.
 
 After an intended change of CLI output, rewrite the capture with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
 
+import functools
 import json
 import tempfile
 from contextlib import redirect_stdout
@@ -19,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from crosscap import cli
+from crosscap import audit, cli
 
 GOLDEN = Path(__file__).parent / "golden" / "cli.json"
 
@@ -84,8 +88,15 @@ def golden():
     return {_case_id(entry): entry for entry in json.loads(GOLDEN.read_text())}
 
 
+@pytest.fixture(scope="module")
+def run_audit_once():
+    return functools.cache(audit.run_audit)
+
+
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
-def test_cli_output_matches_golden(case, golden, capsys):
+def test_cli_output_matches_golden(case, golden, run_audit_once, capsys,
+                                   monkeypatch):
+    monkeypatch.setattr(audit, "run_audit", run_audit_once)
     expected = golden[_case_id(case)]
     got = replay(case)
     capsys.readouterr()
