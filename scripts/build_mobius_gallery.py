@@ -1,24 +1,26 @@
 #!/usr/bin/env python3
 """Build and certify a gallery of swept immersed Moebius bands.
 
-Writes one OFF file per (p, q) pair and prints the verification report:
-Euler characteristic, boundary count, orientability, boundary class,
-core sheet count, and how far the mesh's double points stray from the
-core circle.  Usage:
+Runs ``crosscap build-mobius`` for each (p, q) pair, which writes one OFF
+file and prints its verification report: Euler characteristic, boundary
+count, orientability, boundary class, core sheet count, and how far the
+mesh's double points stray from the core circle.  Stops at the first
+command that fails and exits with its code.  Usage:
 
     python scripts/build_mobius_gallery.py --out-dir meshes --theta-steps 256
 """
 
 import argparse
+import sys
 from pathlib import Path
 
-from crosscap import mobius
+from crosscap import cli
 
 
 DEFAULT_CASES = [(1, 3), (1, 5), (2, 3), (2, 5), (3, 5)]
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", type=Path, default=Path("meshes"))
     parser.add_argument("--theta-steps", type=int, default=256)
@@ -27,23 +29,16 @@ def main() -> None:
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     for p, q in DEFAULT_CASES:
-        params = mobius.SweepParams(
-            p=p, q=q, theta_steps=args.theta_steps, chord_steps=args.chord_steps
-        )
-        mesh = mobius.build_mobius(params)
-        path = args.out_dir / f"mobius_p{p}_q{q}.off"
-        path.write_text(mobius.export_mesh(mesh, "off"))
-        report = mobius.verify_mesh(mesh, params)
-        print(
-            f"T({2 * p},{q}): chi={report.euler_characteristic} "
-            f"boundaries={report.boundary_component_count} "
-            f"orientable={report.orientable} "
-            f"class={report.boundary_class} "
-            f"core_sheets={report.core_multiplicity} "
-            f"max_offcore={report.max_offcore_selfintersection_distance:.2e} "
-            f"(tol {report.tolerance:.2e}) -> {path}"
-        )
+        code = cli.main([
+            "build-mobius", "--p", str(p), "--q", str(q),
+            "--theta-steps", str(args.theta_steps),
+            "--chord-steps", str(args.chord_steps),
+            "--out", str(args.out_dir / f"mobius_p{p}_q{q}.off"),
+        ])
+        if code:
+            return code
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 usage error, 2 validation or input error,
 3 property-suite failure (``audit`` only).
 
+Each command returns its JSON payload, its text lines and its exit code,
+and ``main`` prints the one that ``--format`` asks for.
+
 The numpy-backed modules ``mobius`` and ``audit`` are imported inside the
 commands that use them, so every other command starts without numpy.
 """
@@ -12,8 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from . import homology, invariants, knots, words
 
@@ -23,6 +27,9 @@ if TYPE_CHECKING:
 USAGE_EXIT = 1
 VALIDATION_EXIT = 2
 AUDIT_EXIT = 3
+
+# What a command returns: (JSON payload, text lines, exit code).
+_Result = tuple[Any, list[str], int]
 
 
 class _UsageError(Exception):
@@ -36,184 +43,127 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}")
 
 
-def _canonical_json(payload) -> str:
-    return json.dumps(payload, indent=2)
+def _value_line(label: str, value: invariants.InvariantValue) -> str:
+    return f"{label}: {value}  [{value.provenance or 'n/a'}]"
 
 
-def _require(args: argparse.Namespace, names: Sequence[str], command: str) -> None:
-    missing = [n for n in names if getattr(args, n) is None]
-    if missing:
-        flags = ", ".join("--" + n.replace("_", "-") for n in missing)
-        raise _UsageError(f"crosscap {command}: missing required {flags}")
-
-
-def _print_value(label: str, value: invariants.InvariantValue) -> None:
-    print(f"{label}: {value}  [{value.provenance or 'n/a'}]")
-
-
-def _print_report(report: invariants.InvariantReport) -> None:
-    print(f"knot: {knots.format_knot(report.knot)}")
-    _print_value("gamma_I", report.gamma_i)
-    _print_value("gamma_3", report.gamma_3)
-    _print_value("gamma_4", report.gamma_4)
-    _print_value("g_3", report.g_3)
+def _report_lines(report: invariants.InvariantReport) -> list[str]:
     prime = "unknown" if report.prime is None else ("yes" if report.prime else "no")
-    print(f"prime: {prime}")
-    print(f"gap_3I: {'n/a' if report.gap_3i is None else report.gap_3i}")
-    print(f"gap_4I: {'n/a' if report.gap_4i is None else report.gap_4i}")
+    return [
+        f"knot: {knots.format_knot(report.knot)}",
+        _value_line("gamma_I", report.gamma_i),
+        _value_line("gamma_3", report.gamma_3),
+        _value_line("gamma_4", report.gamma_4),
+        _value_line("g_3", report.g_3),
+        f"prime: {prime}",
+        f"gap_3I: {'n/a' if report.gap_3i is None else report.gap_3i}",
+        f"gap_4I: {'n/a' if report.gap_4i is None else report.gap_4i}",
+    ]
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
-    _require(args, ["knot"], args.command)
+def _cmd_classify(args: argparse.Namespace) -> _Result:
     report = invariants.invariant_report(knots.parse_knot(args.knot))
-    if args.format == "json":
-        print(_canonical_json(report.to_dict()))
-    else:
-        _print_report(report)
-    return 0
+    return report.to_dict(), _report_lines(report), 0
 
 
-def _cmd_gaps(args: argparse.Namespace) -> int:
-    _require(args, ["k_max"], "gaps")
+def _cmd_gaps(args: argparse.Namespace) -> _Result:
     rows = invariants.gap_table(args.k_max)
-    if args.format == "json":
-        print(_canonical_json([row.to_dict() for row in rows]))
-        return 0
-    header = f"{'k':>3} {'gamma_I':>8} {'gamma_3':>8} {'gamma_4':>8} {'gap_3I':>7} {'gap_4I':>7}"
-    print(header)
-    for k, row in zip(range(2, args.k_max + 1), rows):
-        print(
-            f"{k:>3} {row.gamma_i.value:>8} {row.gamma_3.value:>8} "
-            f"{row.gamma_4.value:>8} {row.gap_3i:>7} {row.gap_4i:>7}"
-        )
-    return 0
+    lines = [f"{'k':>3} {'gamma_I':>8} {'gamma_3':>8} {'gamma_4':>8} "
+             f"{'gap_3I':>7} {'gap_4I':>7}"]
+    lines += [
+        f"{k:>3} {row.gamma_i.value:>8} {row.gamma_3.value:>8} "
+        f"{row.gamma_4.value:>8} {row.gap_3i:>7} {row.gap_4i:>7}"
+        for k, row in zip(range(2, args.k_max + 1), rows)
+    ]
+    return [row.to_dict() for row in rows], lines, 0
 
 
-def _print_mesh_report(report: mobius.MeshVerificationReport) -> None:
-    print(f"euler_characteristic: {report.euler_characteristic}")
-    print(f"boundary_components: {report.boundary_component_count}")
-    print(f"orientable: {'yes' if report.orientable else 'no'}")
-    print(f"boundary_class: ({report.boundary_class[0]}, {report.boundary_class[1]})")
-    print(f"core_multiplicity: {report.core_multiplicity}")
-    print(
+def _mesh_report_lines(report: mobius.MeshVerificationReport) -> list[str]:
+    return [
+        f"euler_characteristic: {report.euler_characteristic}",
+        f"boundary_components: {report.boundary_component_count}",
+        f"orientable: {'yes' if report.orientable else 'no'}",
+        f"boundary_class: ({report.boundary_class[0]}, {report.boundary_class[1]})",
+        f"core_multiplicity: {report.core_multiplicity}",
         "max_offcore_selfintersection_distance: "
         f"{report.max_offcore_selfintersection_distance:.3e} "
-        f"(tolerance {report.tolerance:.3e})"
-    )
+        f"(tolerance {report.tolerance:.3e})",
+    ]
 
 
-def _mesh_file_format(args: argparse.Namespace, out: Path) -> str:
-    if args.format in ("off", "obj"):
-        return args.format
-    return "obj" if out.suffix.lower() == ".obj" else "off"
-
-
-def _cmd_build_mobius(args: argparse.Namespace) -> int:
-    _require(args, ["p", "q", "out"], "build-mobius")
+def _cmd_build_mobius(args: argparse.Namespace) -> _Result:
     from . import mobius
 
     params = mobius.SweepParams(
-        p=args.p,
-        q=args.q,
-        theta_steps=args.theta_steps,
-        chord_steps=args.chord_steps,
+        p=args.p, q=args.q, theta_steps=args.theta_steps, chord_steps=args.chord_steps
     )
     mesh = mobius.build_mobius(params)
     # Verify first: a rejected --tol must leave no file behind.
     report = mobius.verify_mesh(mesh, params, tol=args.tol)
     out = Path(args.out)
-    export_text = mobius.export_mesh(mesh, _mesh_file_format(args, out))
+    by_suffix = "obj" if out.suffix.lower() == ".obj" else "off"
+    export_text = mobius.export_mesh(
+        mesh, args.format if args.format in ("off", "obj") else by_suffix
+    )
     out.write_text(export_text)
-    if args.format == "json":
-        print(_canonical_json({**report.to_dict(), "mesh_file": str(out)}))
-    else:
-        line_count = export_text.count("\n")
-        print(f"wrote {line_count} lines to {out}")
-        _print_mesh_report(report)
-    return 0
+    line_count = export_text.count("\n")
+    lines = [f"wrote {line_count} lines to {out}", *_mesh_report_lines(report)]
+    return {**report.to_dict(), "mesh_file": str(out)}, lines, 0
 
 
-def _cmd_verify_mesh(args: argparse.Namespace) -> int:
-    _require(args, ["p", "q", "out"], "verify-mesh")
+def _cmd_verify_mesh(args: argparse.Namespace) -> _Result:
     from . import mobius
 
     text = Path(args.out).read_text()
     vertices, triangles = mobius.parse_mesh_text(text)
     mesh, params = mobius.rebuild_for_file(args.p, args.q, vertices, triangles)
     report = mobius.verify_mesh(mesh, params, tol=args.tol)
-    if args.format == "json":
-        print(_canonical_json(report.to_dict()))
-    else:
-        _print_mesh_report(report)
-    return 0
+    return report.to_dict(), _mesh_report_lines(report), 0
 
 
-def _cmd_obstruction(args: argparse.Namespace) -> int:
-    _require(args, ["p", "q"], "obstruction")
+def _cmd_obstruction(args: argparse.Namespace) -> _Result:
     obstructed = words.square_conjugate_obstruction(args.p, args.q)
-    if args.format == "json":
-        print(_canonical_json({"p": args.p, "q": args.q, "obstructed": obstructed}))
-        return 0
     relator_len = abs(args.p) + abs(args.q)
     if obstructed:
-        print(f"obstruction for T({args.p},{args.q}): yes")
-        print(
+        reason = (
             f"the relator has even length {relator_len}, so word-length parity "
             "is a homomorphism to Z/2; squares have parity 0 while conjugates "
             f"of x^{args.p} have parity 1, so no immersed Moebius band exists"
         )
     else:
-        print(f"obstruction for T({args.p},{args.q}): no")
-        print(
+        reason = (
             f"the relator has odd length {relator_len}, so word-length parity "
             "is not invariant and the parity argument gives no obstruction"
         )
-    return 0
+    verdict = f"obstruction for T({args.p},{args.q}): {'yes' if obstructed else 'no'}"
+    return {"p": args.p, "q": args.q, "obstructed": obstructed}, [verdict, reason], 0
 
 
-def _cmd_homology(args: argparse.Namespace) -> int:
-    _require(args, ["n"], "homology")
-    report = homology.embedded_component_bound(args.n)
-    if args.format == "json":
-        print(_canonical_json(report.to_dict()))
-        return 0
-    print(f"n: {report.n}")
-    print(f"surgery_slope: {report.surgery_slope}")
-    print(f"chi_immersed: {report.chi_immersed}")
-    print(f"chi_embedded_component_max: {report.chi_embedded_component_max}")
-    print(f"gap: {report.gap}")
-    return 0
+def _cmd_homology(args: argparse.Namespace) -> _Result:
+    payload = homology.embedded_component_bound(args.n).to_dict()
+    return payload, [f"{name}: {value}" for name, value in payload.items()], 0
 
 
-def _cmd_twist(args: argparse.Namespace) -> int:
-    _require(args, ["chi", "n"], "twist")
+def _cmd_twist(args: argparse.Namespace) -> _Result:
     p = homology.minimal_twist_contradiction(args.chi, args.n)
-    if args.format == "json":
-        print(_canonical_json({"chi": args.chi, "n": args.n, "minimal_even_twists": p}))
-    else:
-        print(f"minimal even twist count contradicting chi={args.chi} at n={args.n}: {p}")
-    return 0
+    line = f"minimal even twist count contradicting chi={args.chi} at n={args.n}: {p}"
+    return {"chi": args.chi, "n": args.n, "minimal_even_twists": p}, [line], 0
 
 
-def _cmd_audit(args: argparse.Namespace) -> int:
+def _cmd_audit(args: argparse.Namespace) -> _Result:
     from . import audit
 
     results = audit.run_audit(seed=args.seed)
     failures = sum(not result.ok for result in results)
-    exit_code = AUDIT_EXIT if failures else 0
-    if args.format == "json":
-        suites = [{"name": r.name, "ok": r.ok, "detail": r.detail} for r in results]
-        payload = {"suites": suites, "passed": len(results) - failures,
-                   "failed": failures}
-        print(_canonical_json(payload))
-        return exit_code
-    for result in results:
-        if result.ok:
-            print(f"ok   {result.name}")
-        else:
-            print(f"FAIL {result.name}: {result.detail}")
-    print(f"{len(results) - failures}/{len(results)} property suites passed")
-    return exit_code
+    passed = len(results) - failures
+    lines = [
+        f"ok   {result.name}" if result.ok else f"FAIL {result.name}: {result.detail}"
+        for result in results
+    ]
+    lines.append(f"{passed}/{len(results)} property suites passed")
+    suites = [asdict(result) for result in results]
+    payload = {"suites": suites, "passed": passed, "failed": failures}
+    return payload, lines, AUDIT_EXIT if failures else 0
 
 
 _COMMANDS = {
@@ -247,39 +197,41 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name in ("classify", "invariants"):
         p = add(name, "full invariant report for a knot expression")
-        p.add_argument("--knot", help='e.g. "torus(4,3)" or "cable(4,3; torus(2,3))"')
+        p.add_argument("--knot", required=True,
+                       help='e.g. "torus(4,3)" or "cable(4,3; torus(2,3))"')
 
     p = add("gaps", "gap table for the family T(2k, 2k-1)")
-    p.add_argument("--k-max", dest="k_max", type=int)
+    p.add_argument("--k-max", dest="k_max", type=int, required=True)
 
     # Only build-mobius writes a mesh file, so only it takes a file format.
     p = sub.add_parser(
         "build-mobius", help="build a swept band mesh, verify it, and write it"
     )
     p.add_argument("--format", choices=("text", "json", "off", "obj"), default="text")
-    p.add_argument("--p", type=int)
-    p.add_argument("--q", type=int)
+    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--q", type=int, required=True)
     p.add_argument("--theta-steps", dest="theta_steps", type=int, default=128)
     p.add_argument("--chord-steps", dest="chord_steps", type=int, default=8)
-    p.add_argument("--out", help="mesh file to write (OFF unless --format/extension says OBJ)")
+    p.add_argument("--out", required=True,
+                   help="mesh file to write (OFF unless --format/extension says OBJ)")
     p.add_argument("--tol", type=float)
 
     p = add("verify-mesh", "re-verify a previously written mesh file against (p, q)")
-    p.add_argument("--p", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--out", help="mesh file to read")
+    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--out", required=True, help="mesh file to read")
     p.add_argument("--tol", type=float)
 
     p = add("obstruction", "parity obstruction in the torus-knot group")
-    p.add_argument("--p", type=int)
-    p.add_argument("--q", type=int)
+    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--q", type=int, required=True)
 
     p = add("homology", "immersed-vs-embedded Euler characteristic gap report")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=int, required=True)
 
     p = add("twist", "minimal even twist count contradicting a given chi")
-    p.add_argument("--chi", type=int)
-    p.add_argument("--n", type=int)
+    p.add_argument("--chi", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
 
     p = add("audit", "run every property suite; nonzero exit on any failure")
     p.add_argument("--seed", type=int, default=0)
@@ -291,7 +243,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        payload, lines, code = _COMMANDS[args.command](args)
+        # Printing stays in the try: a closed stdout is an OSError, exit 2.
+        print(json.dumps(payload, indent=2) if args.format == "json" else "\n".join(lines))
+        return code
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return USAGE_EXIT

@@ -10,7 +10,7 @@ more unit of Euler characteristic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 CHI_IMMERSED = 1  # an immersed projective plane
 
@@ -24,13 +24,7 @@ class HomologyGapReport:
     gap: int
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "surgery_slope": self.surgery_slope,
-            "chi_immersed": self.chi_immersed,
-            "chi_embedded_component_max": self.chi_embedded_component_max,
-            "gap": self.gap,
-        }
+        return asdict(self)
 
 
 def _require_n(n: int) -> None:

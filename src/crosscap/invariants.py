@@ -198,10 +198,9 @@ def gamma4_torus(t: TorusParams) -> InvariantValue:
     norm = normalize_torus(t)
     if norm is None:
         return InvariantValue.known(0, _UNKNOT_PROV)
-    a, b = norm.winding, norm.meridional
-    if a % 2 == 1 and a >= 3 and b == a + 1:
-        k = (a + 1) // 2
-        return InvariantValue.known(k - 1, _GAMMA4_PROV)
+    match = _twist_family_match(norm)
+    if match is not None and match[1] == 0:  # T(2k-1, 2k) with k = n
+        return InvariantValue.known(match[0] - 1, _GAMMA4_PROV)
     return InvariantValue.unknown(
         "outside the torus-knot family with a pinned 4-dimensional value"
     )
@@ -317,11 +316,19 @@ def invariant_report(k: KnotPresentation) -> InvariantReport:
     )
 
 
+# gap_table holds every report in memory, about 1.25 KB a row, so k_max is
+# capped at MAX_GAP_K: a larger table is refused rather than left to grow
+# until the process runs out of memory.
+MAX_GAP_K = 100_000
+
+
 def gap_table(k_max: int) -> list[InvariantReport]:
     """Reports for T(2k, 2k-1), k = 2..k_max: gamma_I stays 1 while the
     embedded crosscap numbers grow linearly, so both gaps are unbounded."""
     if k_max < 2:
         raise ValueError("gap_table needs k_max >= 2; the family starts at k = 2")
+    if k_max > MAX_GAP_K:
+        raise ValueError(f"gap_table needs k_max <= {MAX_GAP_K}, got {k_max}")
     return [
         invariant_report(TorusKnot(TorusParams(2 * k, 2 * k - 1)))
         for k in range(2, k_max + 1)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from math import gcd, inf, pi
 from typing import NamedTuple, Optional
@@ -276,17 +276,7 @@ class MeshVerificationReport:
     tolerance: float
 
     def to_dict(self) -> dict:
-        return {
-            "euler_characteristic": self.euler_characteristic,
-            "boundary_component_count": self.boundary_component_count,
-            "orientable": self.orientable,
-            "boundary_class": list(self.boundary_class),
-            "max_offcore_selfintersection_distance": (
-                self.max_offcore_selfintersection_distance
-            ),
-            "core_multiplicity": self.core_multiplicity,
-            "tolerance": self.tolerance,
-        }
+        return {**asdict(self), "boundary_class": list(self.boundary_class)}
 
 
 def _check_structure(mesh: ImmersedMobiusMesh) -> None:
@@ -715,12 +705,7 @@ def parse_mesh_text(text: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def rebuild_for_file(
-    p: int,
-    q: int,
-    vertices: np.ndarray,
-    triangles: np.ndarray,
-    ring_radius: float = 2.0,
-    tube_radius: float = 1.0,
+    p: int, q: int, vertices: np.ndarray, triangles: np.ndarray
 ) -> tuple[ImmersedMobiusMesh, SweepParams]:
     """Rebuild the swept mesh whose file contents were given, or fail.
 
@@ -740,14 +725,7 @@ def rebuild_for_file(
     if n_verts % columns != 0:
         raise ValueError("vertex count is not a multiple of the column count")
     n_chord = n_verts // columns
-    params = SweepParams(
-        p=p,
-        q=q,
-        theta_steps=n_theta,
-        chord_steps=n_chord,
-        ring_radius=ring_radius,
-        tube_radius=tube_radius,
-    )
+    params = SweepParams(p=p, q=q, theta_steps=n_theta, chord_steps=n_chord)
     mesh = build_mobius(params)
     if not np.array_equal(mesh.triangles, triangles):
         raise ValueError("triangle list does not match the swept construction")

@@ -55,11 +55,6 @@ class TestClassify:
         assert code == 0
         assert json.loads(out)["gamma_i"]["value"] == 1
 
-    def test_missing_knot_exits_1(self, capsys):
-        code, _, err = run(capsys, "classify")
-        assert code == 1
-        assert "--knot" in err
-
 
 class TestGaps:
     def test_table(self, capsys):
@@ -270,6 +265,25 @@ def test_mesh_file_format_only_on_build_mobius(capsys, argv):
     assert code == 1
     assert out == ""
     assert "invalid choice" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        pytest.param(("classify",), "--knot", id="classify"),
+        pytest.param(("gaps",), "--k-max", id="gaps"),
+        pytest.param(("build-mobius", "--p", "1", "--q", "3"), "--out", id="build-mobius"),
+        pytest.param(("verify-mesh", "--q", "3", "--out", "band.off"), "--p", id="verify-mesh"),
+        pytest.param(("obstruction", "--p", "3"), "--q", id="obstruction"),
+        pytest.param(("homology",), "--n", id="homology"),
+        pytest.param(("twist", "--n", "2"), "--chi", id="twist"),
+    ],
+)
+def test_missing_required_flag_exits_1(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert flag in err.split()
 
 
 class TestAudit:

@@ -159,6 +159,19 @@ class TestReports:
         with pytest.raises(ValueError):
             invariants.gap_table(1)
 
+    def test_gap_table_accepts_the_cap(self, monkeypatch):
+        # A stand-in report keeps the 100,000-row table cheap; the cap is
+        # what is under test.
+        monkeypatch.setattr(invariants, "invariant_report", lambda knot: knot)
+        rows = invariants.gap_table(invariants.MAX_GAP_K)
+        assert len(rows) == invariants.MAX_GAP_K - 1
+        assert rows[-1] == torus(2 * invariants.MAX_GAP_K, 2 * invariants.MAX_GAP_K - 1)
+
+    def test_gap_table_rejects_above_the_cap(self):
+        cap = invariants.MAX_GAP_K  # read before any table can be built
+        with pytest.raises(ValueError, match=f"k_max <= {cap}"):
+            invariants.gap_table(cap + 1)
+
     def test_slice_external_gets_gamma4_zero(self):
         k = ExternalKnot("6_1", PropertyFlags(hyperbolic=True, slice=True))
         report = invariants.invariant_report(k)

@@ -25,16 +25,23 @@ def test_gallery_certifies_every_band(tmp_path):
         "build_mobius_gallery.py", "--out-dir", str(out_dir), "--theta-steps", "64"
     )
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.strip().splitlines()
+    lines = proc.stdout.splitlines()
     cases = [(1, 3), (1, 5), (2, 3), (2, 5), (3, 5)]
-    assert len(lines) == len(cases)
-    for (p, q), line in zip(cases, lines):
+    assert len(lines) == 7 * len(cases)  # one build-mobius report per band
+    for i, (p, q) in enumerate(cases):
         path = out_dir / f"mobius_p{p}_q{q}.off"
-        assert line.startswith(f"T({2 * p},{q}): chi=0 boundaries=1 orientable=False ")
-        assert f"class=({2 * p}, {q}) core_sheets={p} " in line
-        assert line.endswith(f"-> {path}")
+        report = lines[7 * i:7 * i + 7]
+        assert report[0].startswith("wrote ")
+        assert report[0].endswith(f" lines to {path}")
+        assert report[1:6] == [
+            "euler_characteristic: 0",
+            "boundary_components: 1",
+            "orientable: no",
+            f"boundary_class: ({2 * p}, {q})",
+            f"core_multiplicity: {p}",
+        ]
         assert path.read_text().startswith(f"OFF\n{64 * p * 8} {2 * 64 * p * 7} 0\n")
-        offcore, tol = line.split("max_offcore=")[1].split(" -> ")[0].split(" (tol ")
+        offcore, tol = report[6].split(": ")[1].split(" (tolerance ")
         assert float(offcore) <= float(tol.rstrip(")"))
 
 
