@@ -28,7 +28,8 @@ USAGE_EXIT = 1
 VALIDATION_EXIT = 2
 AUDIT_EXIT = 3
 
-# What a command returns: (JSON payload, text lines, exit code).
+# What a command returns: (JSON payload, text lines, exit code).  A command
+# whose output is large may leave the form --format does not ask for empty.
 _Result = tuple[Any, list[str], int]
 
 
@@ -67,7 +68,10 @@ def _cmd_classify(args: argparse.Namespace) -> _Result:
 
 
 def _cmd_gaps(args: argparse.Namespace) -> _Result:
+    # The table can run to 100,000 rows, so build only the output printed.
     rows = invariants.gap_table(args.k_max)
+    if args.format == "json":
+        return [row.to_dict() for row in rows], [], 0
     lines = [f"{'k':>3} {'gamma_I':>8} {'gamma_3':>8} {'gamma_4':>8} "
              f"{'gap_3I':>7} {'gap_4I':>7}"]
     lines += [
@@ -75,7 +79,7 @@ def _cmd_gaps(args: argparse.Namespace) -> _Result:
         f"{row.gamma_4.value:>8} {row.gap_3i:>7} {row.gap_4i:>7}"
         for k, row in zip(range(2, args.k_max + 1), rows)
     ]
-    return [row.to_dict() for row in rows], lines, 0
+    return None, lines, 0
 
 
 def _mesh_report_lines(report: mobius.MeshVerificationReport) -> list[str]:

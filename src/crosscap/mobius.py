@@ -492,17 +492,27 @@ def self_intersection_points(mesh: ImmersedMobiusMesh, s: SweepParams) -> np.nda
     pairs (circular strip distance <= 1) share mesh edges by construction
     and are excluded.
 
+    Each triangle's bounding box is computed once, as a (6, F) column
+    array: rows 0-2 hold the lowest x, y, z and rows 3-5 the highest x,
+    y, z plus the 1e-12 margin, so two boxes touch on an axis when each
+    one's low row is at most the other's high row.
+
     The broad phase sweeps on z (sort-and-sweep, Baraff 1992), one window
     at a time.  Window d holds sectors d and d + 1, stably sorted by each
-    triangle's lowest z.  A triangle's partners are the contiguous run
-    after it whose lowest z is at most its highest z plus the margin;
-    since the sort orders the lowest z, that run holds every later
-    triangle whose z-interval touches its own.  Window d owns the pairs
-    with a member in sector d; a pair inside sector d + 1 belongs to
-    window d + 1.  The owned pairs then pass the strip-distance filter and
-    the full bounding-box test.  The cost is O(F log F + pairs overlapping
-    in z), and memory holds one window's z-overlapping pairs plus the
-    pairs whose boxes touch.
+    triangle's lowest z, and gathers its box columns, strip columns and
+    ownership flags once in that order.  Sorted triangle i pairs with the
+    contiguous run j > i whose lowest z is at most its own highest z plus
+    the margin; since the sort orders the lowest z, that run holds every
+    later triangle whose z-interval touches its own.  The sweep thus
+    proves z-overlap for every pair it emits: lo_z[i] <= lo_z[j] <=
+    hi_z[i] + margin, and lo_z[i] <= lo_z[j] <= hi_z[j] gives the other
+    half, lo_z[i] <= hi_z[j] + margin, so the box test compares x and y
+    only.  Window d owns the pairs with a member in sector d; a pair
+    inside sector d + 1 belongs to window d + 1.  Ownership, circular
+    strip distance > 1 and the x/y box overlap form one mask over
+    window-local positions, which compresses the pairs once.  The cost is
+    O(F log F + pairs overlapping in z), and memory holds one window's
+    z-overlapping pairs plus the pairs whose boxes touch.
 
     For p = 1 the strip has length theta_steps, so a triangle's sector is
     its column, and a pair in the same or adjacent sectors is at circular
@@ -520,10 +530,13 @@ def self_intersection_points(mesh: ImmersedMobiusMesh, s: SweepParams) -> np.nda
     by_sector = np.argsort(sector, kind="stable")
     bounds = np.searchsorted(sector[by_sector], np.arange(n_theta + 1))
     coords = mesh.vertices[mesh.triangles]
-    lo = coords.min(axis=1)
-    hi = coords.max(axis=1)
-    margin = 1e-12
-    reach = hi[:, 2] + margin
+    box = np.empty((6, len(coords)))
+    lo, hi = box[:3].T, box[3:].T
+    np.minimum(coords[:, 0], coords[:, 1], out=lo)
+    np.minimum(lo, coords[:, 2], out=lo)
+    np.maximum(coords[:, 0], coords[:, 1], out=hi)
+    np.maximum(hi, coords[:, 2], out=hi)
+    hi += 1e-12
 
     pairs = [np.empty((0, 2), dtype=np.intp)]
     for d in range(n_theta):
@@ -533,21 +546,24 @@ def self_intersection_points(mesh: ImmersedMobiusMesh, s: SweepParams) -> np.nda
         e = (d + 1) % n_theta
         nxt = by_sector[bounds[e]:bounds[e + 1]] if e != d else own[:0]
         window = np.concatenate([own, nxt])
-        order = np.argsort(lo[window, 2], kind="stable")
+        order = np.argsort(box[2, window], kind="stable")
         window = window[order]
         owned = order < len(own)
+        lo_x, lo_y, lo_z, hi_x, hi_y, hi_z = box[:, window]
+        col = cols[window]
         # Sorted triangle i pairs with i + 1, ..., end[i] - 1.
-        end = np.searchsorted(lo[window, 2], reach[window], side="right")
+        end = np.searchsorted(lo_z, hi_z, side="right")
         run = end - np.arange(1, len(window) + 1)
-        first = np.repeat(np.arange(len(window)), run)
-        second = np.arange(len(first)) - np.repeat(np.cumsum(run) - end, run)
-        keep = owned[first] | owned[second]
-        a, b = window[first[keep]], window[second[keep]]
-        raw = np.abs(cols[a] - cols[b])
-        far = np.minimum(raw, length - raw) > 1
-        a, b = a[far], b[far]
-        overlap = np.all((lo[a] <= hi[b] + margin) & (lo[b] <= hi[a] + margin), axis=1)
-        pairs.append(np.stack([a[overlap], b[overlap]], axis=1))
+        i = np.repeat(np.arange(len(window)), run)
+        j = np.arange(len(i)) - np.repeat(np.cumsum(run) - end, run)
+        raw = np.abs(col[i] - col[j])
+        keep = owned[i] | owned[j]
+        keep &= np.minimum(raw, length - raw) > 1
+        keep &= lo_x[i] <= hi_x[j]
+        keep &= lo_x[j] <= hi_x[i]
+        keep &= lo_y[i] <= hi_y[j]
+        keep &= lo_y[j] <= hi_y[i]
+        pairs.append(np.stack([window[i[keep]], window[j[keep]]], axis=1))
     pairs = np.concatenate(pairs)
 
     found = [np.empty((0, 3))]

@@ -114,6 +114,37 @@ def oracle_offcore_points(mesh, params):
     return np.array(points).reshape(-1, 3)
 
 
+def all_pairs_scan_rows(mesh, params):
+    """Every strip-far triangle pair whose margin-expanded boxes touch on
+    all three axes, crossed by the library's narrow phase with each
+    triangle's edges probing the other: the rows the scan must return,
+    each pair exactly once, whatever the broad phase prunes."""
+    margin = 1e-12
+    coords = mesh.vertices[mesh.triangles]
+    lo, hi = coords.min(axis=1), coords.max(axis=1)
+    cols = oracle_strip_columns(mesh, params)
+    ia, ib = np.triu_indices(len(coords), k=1)
+    raw = np.abs(cols[ia] - cols[ib])
+    far = np.minimum(raw, params.p * params.theta_steps - raw) > 1
+    touch = np.all((lo[ia] <= hi[ib] + margin) & (lo[ib] <= hi[ia] + margin), axis=1)
+    ia, ib = ia[far & touch], ib[far & touch]
+    rows = [np.empty((0, 3))]
+    for probe, target in ((coords[ia], coords[ib]), (coords[ib], coords[ia])):
+        for e0, e1 in ((0, 1), (1, 2), (2, 0)):
+            mask, pts = mobius._segment_triangle_points(
+                probe[:, e0], probe[:, e1], target
+            )
+            rows.append(pts[mask])
+    return np.concatenate(rows)
+
+
+def sorted_row_bytes(rows):
+    """Rows sorted by their bit patterns, as bytes: equal exactly when the
+    two arrays hold the same rows, repeats included, in any order."""
+    bits = np.ascontiguousarray(rows).view(np.uint64)
+    return rows[np.lexsort(bits.T[::-1])].tobytes()
+
+
 def assert_same_point_sets(fast, slow, tol=1e-9):
     """Every oracle point lies within tol of a library point, and the
     reverse; the library repeats points, so only the sets are compared."""
@@ -308,6 +339,26 @@ def cut_open(mesh, params):
     return with_triangles(mesh, mesh.triangles[slice_index != params.theta_steps - 1])
 
 
+def draw_small_sweep(data):
+    """A band with p <= 3, either sign of q, chord_steps 2-4 (both
+    parities), whole or cut open."""
+    p = data.draw(st.integers(1, 3), label="p")
+    # 2p|q| <= 12 keeps the all-pairs oracle under a second.
+    q = data.draw(
+        st.integers(-6 // p, 6 // p).filter(
+            lambda q: q != 0 and gcd(2 * p, abs(q)) == 1
+        ),
+        label="q",
+    )
+    low = max(8, 4 * p * abs(q))
+    theta = data.draw(st.integers(low, low + 8), label="theta")
+    chord = data.draw(st.integers(2, 4), label="chord")
+    mesh, params = small_mesh(p, q, theta=theta, chord=chord)
+    if data.draw(st.booleans(), label="cut"):
+        mesh = cut_open(mesh, params)
+    return mesh, params
+
+
 # --- parameter validation ----------------------------------------------------
 
 
@@ -439,20 +490,7 @@ class TestVerification:
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
     def test_scan_matches_oracle_on_random_sweeps(self, data):
-        p = data.draw(st.integers(1, 3), label="p")
-        # 2p|q| <= 12 keeps the all-pairs oracle under a second.
-        q = data.draw(
-            st.integers(-6 // p, 6 // p).filter(
-                lambda q: q != 0 and gcd(2 * p, abs(q)) == 1
-            ),
-            label="q",
-        )
-        low = max(8, 4 * p * abs(q))
-        theta = data.draw(st.integers(low, low + 8), label="theta")
-        chord = data.draw(st.integers(2, 4), label="chord")
-        mesh, params = small_mesh(p, q, theta=theta, chord=chord)
-        if data.draw(st.booleans(), label="cut"):
-            mesh = cut_open(mesh, params)
+        mesh, params = draw_small_sweep(data)
         fast = mobius.self_intersection_points(mesh, params)
         slow = oracle_offcore_points(mesh, params)
         assert (len(fast) == 0) == (len(slow) == 0)
@@ -461,6 +499,43 @@ class TestVerification:
             d_slow = mobius.distance_to_core_circle(slow, params.ring_radius)
             assert abs(d_fast.max() - d_slow.max()) < 1e-9
         assert_same_point_sets(fast, slow)
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_scan_keeps_every_candidate_pair_once(self, data):
+        # Point-set comparisons cannot see a pair that is lost or repeated
+        # when other pairs produce the same points; the rows can.
+        mesh, params = draw_small_sweep(data)
+        fast = mobius.self_intersection_points(mesh, params)
+        slow = all_pairs_scan_rows(mesh, params)
+        assert sorted_row_bytes(fast) == sorted_row_bytes(slow)
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_scan_keeps_pair_touching_only_within_margin(self, axis, side):
+        # Triangle b's edge along the axis stops 5e-13 short of triangle
+        # a's plane through the origin, on either side of it; the crossing
+        # tolerance still finds the point, so the boxes must touch through
+        # the margin on that axis alone.  On the other two they overlap.
+        # With p = 2 and theta_steps = 8 the first vertices 0 and 2 sit in
+        # sector 0 at strip columns 0 and 8: same sector, strip-far.
+        params = SweepParams(p=2, q=3, theta_steps=8, chord_steps=2)
+        vertices = np.array([
+            [0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [5e-13, 0.2, 0.2],
+            [1.0, 0.2, 0.2], [0.0, 0.0, 1.0], [1.0, 0.3, 0.3],
+        ]) * [side, 1.0, 1.0]
+        vertices = np.roll(vertices, axis, axis=1)
+        triangles = np.array([[0, 1, 4], [2, 3, 5]], dtype=np.int32)
+        mesh = ImmersedMobiusMesh(vertices=vertices, triangles=triangles)
+        coords = vertices[triangles]
+        lo, hi = coords.min(axis=1), coords.max(axis=1)
+        gap = np.maximum(lo[1] - hi[0], lo[0] - hi[1])
+        assert 0 < gap[axis] <= 1e-12
+        assert np.all(np.delete(gap, axis) < 0)
+        fast = mobius.self_intersection_points(mesh, params)
+        slow = all_pairs_scan_rows(mesh, params)
+        assert len(slow) > 0
+        assert sorted_row_bytes(fast) == sorted_row_bytes(slow)
 
     def test_scan_memory_is_bounded_by_one_sector(self):
         # 19,200 triangles, 150 per sector: every same- and adjacent-sector
