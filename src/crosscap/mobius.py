@@ -173,29 +173,39 @@ class ImmersedMobiusMesh:
 
 
 class _EdgeTable(NamedTuple):
-    """Undirected edges of a triangle list, keyed as lo * V + hi; an index
-    outside [0, V) would alias another edge, so the builder rejects it.
-    Half-edge k of a triangle runs from its corner k to corner (k + 1) % 3."""
+    """Undirected edges of a triangle list, from one stable sort of their
+    keys lo * V + hi; an index outside [0, V) would alias another edge, so
+    _build_edge_table rejects it.
+
+    Half-edge 3t + k runs from corner k of triangle t to corner (k + 1) % 3.
+    by_edge lists the half-edge ids grouped by edge, in edge order, so edge
+    e owns the run of counts[e] ids that starts at the sum of the earlier
+    counts; within a run the ids increase."""
 
     edges: np.ndarray    # (E, 2) int32 (lo, hi) pairs in lexicographic order
     counts: np.ndarray   # (E,) int32 triangles on each edge
-    edge_of: np.ndarray  # (F, 3) int32 edge index of each half-edge
+    by_edge: np.ndarray  # (3F,) int32 half-edge ids, grouped by edge
     forward: np.ndarray  # (F, 3) bool, half-edge runs from lo to hi
 
 
 def _build_edge_table(triangles: np.ndarray, vertex_count: int) -> _EdgeTable:
     if len(triangles) and (triangles.min() < 0 or triangles.max() >= vertex_count):
         raise MeshStructureError("triangle index out of range")
-    tails = triangles.astype(np.int64)
-    heads = np.roll(tails, -1, axis=1)
-    lo, hi = np.minimum(tails, heads), np.maximum(tails, heads)
-    keys, edge_of, counts = np.unique(
-        (lo * vertex_count + hi).ravel(), return_inverse=True, return_counts=True
-    )
+    heads = triangles[:, [1, 2, 0]]
+    lo, hi = np.minimum(triangles, heads).ravel(), np.maximum(triangles, heads).ravel()
+    keys = lo.astype(np.int64) * vertex_count + hi
     # int32 halves the table, which lives as long as its mesh.
-    edges = np.stack(np.divmod(keys, vertex_count), axis=1).astype(np.int32)
-    edge_of = edge_of.reshape(-1, 3).astype(np.int32)
-    return _EdgeTable(edges, counts.astype(np.int32), edge_of, tails < heads)
+    by_edge = np.argsort(keys, kind="stable").astype(np.int32)
+    keys = keys[by_edge]
+    # Each edge's run of half-edges opens where the sorted keys change.
+    opens_edge = np.empty(len(keys), dtype=bool)
+    opens_edge[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=opens_edge[1:])
+    starts = np.flatnonzero(opens_edge)
+    counts = np.diff(starts, append=len(keys))
+    first = by_edge[starts]
+    edges = np.stack([lo[first], hi[first]], axis=1).astype(np.int32, copy=False)
+    return _EdgeTable(edges, counts.astype(np.int32), by_edge, triangles < heads)
 
 
 def build_mobius(s: SweepParams) -> ImmersedMobiusMesh:
@@ -280,10 +290,10 @@ class MeshVerificationReport:
 
 
 def _check_structure(mesh: ImmersedMobiusMesh) -> None:
-    edges, counts, _, _ = mesh._edge_table  # rejects indices out of range
-    if (edges[:, 0] == edges[:, 1]).any():
+    table = mesh._edge_table  # rejects indices out of range
+    if (table.edges[:, 0] == table.edges[:, 1]).any():
         raise MeshStructureError("degenerate triangle (repeated vertex)")
-    if (counts > 2).any():
+    if (table.counts > 2).any():
         raise MeshStructureError("edge shared by more than two triangles")
 
 
@@ -347,31 +357,49 @@ def euler_characteristic(mesh: ImmersedMobiusMesh) -> int:
 
 
 def is_orientable(mesh: ImmersedMobiusMesh) -> bool:
-    """True iff the orientation double cover, two sheets per triangle, keeps
-    every triangle's two sheets in different components.  Neighbors across
-    an edge traversed in opposite directions agree, so the cover joins their
-    equal sheets there and their opposite sheets otherwise."""
+    """True iff the triangles can be oriented so that the two triangles on
+    each interior edge traverse it in opposite directions; an edge on three
+    or more triangles allows no such orientation.
+
+    An interior edge asks its two triangles to keep or to flip their
+    relative orientation: to flip (odd parity) when both traverse it in
+    the same direction.  A union-find over the triangles stores, per
+    triangle, link = 2 * parent + parity, the parity being its flip
+    relative to its parent.  At the start of each round every triangle
+    links to its root, so each edge moves onto the roots of its ends, with
+    the flip those roots need.  An edge whose ends share a root then asks
+    for no flip, or it refutes the orientation; either way it drops out.
+    An edge between two roots hooks the larger onto the smaller with that
+    flip, and stays until a later round finds its ends merged.
+
+    Many edges may hook one root in the same scatter, and numpy does not
+    say which of the repeated writes wins; with parent and parity packed
+    in one int64, the winning write sets both.  Pointer jumping, link =
+    link[parent] ^ parity, then composes the parities along each path
+    until every triangle links to its root again."""
     table = mesh._edge_table
     if (table.counts > 2).any():
-        return False  # three sheets on one edge cannot pairwise disagree
-    n = mesh.triangle_count
-    half = np.argsort(table.edge_of, axis=None, kind="stable")
+        return False
+    forward = table.forward.ravel()
     first = (np.cumsum(table.counts) - table.counts)[table.counts == 2]
-    h1, h2 = half[first], half[first + 1]
-    cross = np.where(table.forward.flat[h1] == table.forward.flat[h2], n, 0)
-    a = np.concatenate([h1 // 3, h1 // 3 + n])
-    b = np.concatenate([h2 // 3 + cross, h2 // 3 + n - cross])
-    root = np.arange(2 * n)
-    while True:
-        ra, rb = root[a], root[b]
-        apart = ra != rb
-        if not apart.any():
-            return not (root[:n] == root[n:]).any()
-        # Hook roots onto smaller roots across edges, then jump pointers
-        # until every node points at a root again.
-        root[np.maximum(ra, rb)[apart]] = np.minimum(ra, rb)[apart]
-        while not np.array_equal(root[root], root):
-            root = root[root]
+    h1, h2 = table.by_edge[first], table.by_edge[first + 1]
+    # Interior edge (a, b, odd): the orientations of a and b differ by odd.
+    a, b, odd = h1 // 3, h2 // 3, forward[h1] == forward[h2]
+    link = 2 * np.arange(mesh.triangle_count, dtype=np.int64)
+    while len(a):
+        la, lb = link[a], link[b]
+        a, b, odd = la >> 1, lb >> 1, odd ^ ((la ^ lb) & 1)
+        apart = a != b
+        if odd[~apart].any():
+            return False
+        a, b, odd = a[apart], b[apart], odd[apart]
+        link[np.maximum(a, b)] = 2 * np.minimum(a, b) + odd
+        while True:
+            jumped = link[link >> 1] ^ (link & 1)
+            if np.array_equal(jumped, link):
+                break
+            link = jumped
+    return True
 
 
 def _wrap_angle(delta: np.ndarray) -> np.ndarray:
@@ -406,9 +434,13 @@ def boundary_winding_angles(
 
 
 def max_edge_length(mesh: ImmersedMobiusMesh) -> float:
-    edges = mesh._edge_table.edges
-    diffs = mesh.vertices[edges[:, 0]] - mesh.vertices[edges[:, 1]]
-    return float(np.sqrt((diffs * diffs).sum(axis=1)).max())
+    """The square root of the largest squared edge length."""
+    a, b = mesh._edge_table.edges.T
+    x, y, z = mesh.vertices.T
+    dx, dy, dz = x[a] - x[b], y[a] - y[b], z[a] - z[b]
+    # (dx*dx + dy*dy) + dz*dz is the order in which sum(axis=1) adds a row,
+    # and the root is monotone, so this is the longest edge length to the bit.
+    return float(np.sqrt((dx * dx + dy * dy + dz * dz).max()))
 
 
 def _core_multiplicity(mesh: ImmersedMobiusMesh, s: SweepParams) -> int:
@@ -590,7 +622,7 @@ def verify_mesh(
     """Certify the band's topology and the location of its double points.
 
     Checks run on the abstract mesh (Euler characteristic, boundary cycle
-    count, connectivity of the orientation double cover) and on the ambient
+    count, a coherent orientation of the triangles) and on the ambient
     geometry (boundary winding class, sheet count through the core,
     self-intersection scan).  With tol=None the tolerance defaults to three
     times the longest mesh edge, which absorbs exactly the discretization

@@ -246,6 +246,78 @@ def cycles_or_error(walk, boundary_edges):
         return str(exc)
 
 
+def assert_topology_matches_reference(mesh):
+    """Edge table, Euler characteristic and orientability against the
+    dict references; each run of by_edge holds increasing half-edge ids
+    3t + k whose sides are that run's edge."""
+    tris = mesh.triangles
+    counts = reference_edge_counts(tris)
+    table = mesh._edge_table
+    assert table.edges.tolist() == [list(e) for e in sorted(counts)]
+    assert table.counts.tolist() == [counts[e] for e in sorted(counts)]
+    assert table.by_edge.dtype == np.int32
+    assert sorted(table.by_edge.tolist()) == list(range(3 * len(tris)))
+    runs = np.split(table.by_edge, np.cumsum(table.counts)[:-1])
+    for edge, run in zip(table.edges.tolist(), runs):
+        assert (np.diff(run) > 0).all()
+        for half in run.tolist():
+            t, k = divmod(half, 3)
+            assert sorted([tris[t, k], tris[t, (k + 1) % 3]]) == edge
+    assert mobius.euler_characteristic(mesh) == reference_euler(tris)
+    assert mobius.is_orientable(mesh) == reference_is_orientable(tris)
+
+
+def draw_triangle_soup(data):
+    """Up to 16 triangles with distinct corners on 3-12 vertices, with no
+    other structure: several components, unused vertices, and repeats of
+    earlier triangles in any corner order, so an edge may carry three or
+    more triangles."""
+    n = data.draw(st.integers(3, 12), label="vertices")
+    fresh = st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True)
+    triangles = []
+    for _ in range(data.draw(st.integers(0, 16), label="triangles")):
+        if triangles and data.draw(st.integers(0, 3), label="repeat") == 3:
+            earlier = data.draw(st.sampled_from(triangles))
+            triangles.append(data.draw(st.permutations(earlier)))
+        else:
+            triangles.append(data.draw(fresh))
+    triangles = np.array(triangles, dtype=np.int32).reshape(-1, 3)
+    return ImmersedMobiusMesh(vertices=np.zeros((n, 3)), triangles=triangles)
+
+
+SEVEN_VERTEX_TORUS = np.array(
+    [[i, (i + 1) % 7, (i + 3) % 7] for i in range(7)]
+    + [[i, (i + 2) % 7, (i + 3) % 7] for i in range(7)],
+    dtype=np.int32,
+)
+
+
+# The 6-vertex projective plane: the antipodal quotient of the icosahedron.
+SIX_VERTEX_RP2 = np.array(
+    [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5], [0, 5, 1],
+     [1, 2, 4], [2, 3, 5], [3, 4, 1], [4, 5, 2], [5, 1, 3]],
+    dtype=np.int32,
+)
+
+
+def klein_bottle_grid(n=4):
+    """An n x n grid of squares, each split along a diagonal, glued with
+    (i + n, j) ~ (i, j) and (i, j + n) ~ (-i, j)."""
+
+    def vid(i, j):
+        if j == n:
+            i, j = -i, 0
+        return (i % n) * n + j
+
+    triangles = []
+    for i in range(n):
+        for j in range(n):
+            a, b = vid(i, j), vid(i + 1, j)
+            c, d = vid(i + 1, j + 1), vid(i, j + 1)
+            triangles += [[a, b, c], [a, c, d]]
+    return np.array(triangles, dtype=np.int32)
+
+
 # --- per-line mesh-file reference ------------------------------------------
 
 
@@ -720,15 +792,30 @@ class TestEdgeTable:
         flip = rng.random(len(tris)) < 0.5
         tris[flip] = tris[flip][:, ::-1]
         mesh = with_triangles(mesh, tris)
-
-        counts = reference_edge_counts(tris)
-        table = mesh._edge_table
-        assert table.edges.tolist() == [list(e) for e in sorted(counts)]
-        assert table.counts.tolist() == [counts[e] for e in sorted(counts)]
-        assert mobius.euler_characteristic(mesh) == reference_euler(tris)
-        assert mobius.is_orientable(mesh) == reference_is_orientable(tris)
+        assert_topology_matches_reference(mesh)
         edges = mesh.boundary_edges
         assert mobius._walk_cycles(edges) == reference_walk_cycles(edges)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_triangle_soup_matches_brute_force_reference(self, data):
+        assert_topology_matches_reference(draw_triangle_soup(data))
+
+    @pytest.mark.parametrize("triangles, chi, orientable", [
+        pytest.param(SEVEN_VERTEX_TORUS, 0, True, id="torus"),
+        pytest.param(SIX_VERTEX_RP2, 1, False, id="projective-plane"),
+        pytest.param(klein_bottle_grid(), 0, False, id="klein-bottle"),
+    ])
+    def test_closed_surface(self, triangles, chi, orientable):
+        mesh = ImmersedMobiusMesh(
+            vertices=np.zeros((triangles.max() + 1, 3)), triangles=triangles
+        )
+        assert set(reference_edge_counts(triangles).values()) == {2}
+        assert len(mesh.boundary_edges) == 0
+        assert mobius.boundary_cycles(mesh) == []
+        assert mobius.euler_characteristic(mesh) == chi
+        assert mobius.is_orientable(mesh) == orientable
+        assert_topology_matches_reference(mesh)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
