@@ -4,8 +4,10 @@
 Runs ``crosscap build-mobius`` for each (p, q) pair, which writes one OFF
 file and prints its verification report: Euler characteristic, boundary
 count, orientability, boundary class, core sheet count, and how far the
-mesh's double points stray from the core circle.  Stops at the first
-command that fails and exits with its code.  Usage:
+mesh's double points stray from the core circle, and the verdict
+``certified: yes`` or ``certified: no (<failed checks>)``.  Stops at the
+first command that fails, an uncertified band included, and exits with its
+code.  Usage:
 
     python scripts/build_mobius_gallery.py --out-dir meshes --theta-steps 256
 """

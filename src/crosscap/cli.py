@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage error, 2 validation or input error,
-3 property-suite failure (``audit`` only).
+3 a check failed: an ``audit`` property suite, or the mesh certificate of
+``build-mobius`` or ``verify-mesh``.
 
 Each command returns its JSON payload, its text lines and its exit code,
 and ``main`` prints the one that ``--format`` asks for.
@@ -26,7 +27,7 @@ if TYPE_CHECKING:
 
 USAGE_EXIT = 1
 VALIDATION_EXIT = 2
-AUDIT_EXIT = 3
+CHECK_FAILED_EXIT = 3
 
 # What a command returns: (JSON payload, text lines, exit code).  A command
 # whose output is large may leave the form --format does not ask for empty.
@@ -92,6 +93,8 @@ def _mesh_report_lines(report: mobius.MeshVerificationReport) -> list[str]:
         "max_offcore_selfintersection_distance: "
         f"{report.max_offcore_selfintersection_distance:.3e} "
         f"(tolerance {report.tolerance:.3e})",
+        "certified: yes" if report.certified
+        else f"certified: no ({', '.join(report.failed_checks)})",
     ]
 
 
@@ -102,8 +105,11 @@ def _cmd_build_mobius(args: argparse.Namespace) -> _Result:
         p=args.p, q=args.q, theta_steps=args.theta_steps, chord_steps=args.chord_steps
     )
     mesh = mobius.build_mobius(params)
-    # Verify first: a rejected --tol must leave no file behind.
+    # Verify first: a rejected --tol or an uncertified band writes no file.
     report = mobius.verify_mesh(mesh, params, tol=args.tol)
+    if not report.certified:
+        lines = _mesh_report_lines(report)
+        return {**report.to_dict(), "mesh_file": None}, lines, CHECK_FAILED_EXIT
     out = Path(args.out)
     by_suffix = "obj" if out.suffix.lower() == ".obj" else "off"
     export_text = mobius.export_mesh(
@@ -122,7 +128,8 @@ def _cmd_verify_mesh(args: argparse.Namespace) -> _Result:
     vertices, triangles = mobius.parse_mesh_text(text)
     mesh, params = mobius.rebuild_for_file(args.p, args.q, vertices, triangles)
     report = mobius.verify_mesh(mesh, params, tol=args.tol)
-    return report.to_dict(), _mesh_report_lines(report), 0
+    code = 0 if report.certified else CHECK_FAILED_EXIT
+    return report.to_dict(), _mesh_report_lines(report), code
 
 
 def _cmd_obstruction(args: argparse.Namespace) -> _Result:
@@ -167,7 +174,7 @@ def _cmd_audit(args: argparse.Namespace) -> _Result:
     lines.append(f"{passed}/{len(results)} property suites passed")
     suites = [asdict(result) for result in results]
     payload = {"suites": suites, "passed": passed, "failed": failures}
-    return payload, lines, AUDIT_EXIT if failures else 0
+    return payload, lines, CHECK_FAILED_EXIT if failures else 0
 
 
 _COMMANDS = {

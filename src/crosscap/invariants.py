@@ -24,7 +24,6 @@ from .knots import (
     format_knot,
     is_trivial,
     normalize_torus,
-    parse_knot,
     require_valid,
     winding_is_even,
 )
@@ -76,10 +75,6 @@ class InvariantValue:
             "value": self.value,
             "provenance": self.provenance,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "InvariantValue":
-        return cls(ValueKind(data["kind"]), data["value"], data["provenance"])
 
     def __str__(self) -> str:
         if self.kind is ValueKind.KNOWN:
@@ -259,19 +254,6 @@ class InvariantReport:
             "gap_3i": self.gap_3i,
             "gap_4i": self.gap_4i,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "InvariantReport":
-        return cls(
-            knot=parse_knot(data["knot"]),
-            gamma_i=InvariantValue.from_dict(data["gamma_i"]),
-            gamma_3=InvariantValue.from_dict(data["gamma_3"]),
-            gamma_4=InvariantValue.from_dict(data["gamma_4"]),
-            g_3=InvariantValue.from_dict(data["g_3"]),
-            prime=data["prime"],
-            gap_3i=data["gap_3i"],
-            gap_4i=data["gap_4i"],
-        )
 
 
 def _gap(a: InvariantValue, b: InvariantValue) -> Optional[int]:

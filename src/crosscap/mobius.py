@@ -283,10 +283,19 @@ class MeshVerificationReport:
     boundary_class: tuple[int, int]
     max_offcore_selfintersection_distance: float
     core_multiplicity: int
+    failed_checks: tuple[str, ...]
     tolerance: float
 
+    @property
+    def certified(self) -> bool:
+        return not self.failed_checks
+
     def to_dict(self) -> dict:
-        return {**asdict(self), "boundary_class": list(self.boundary_class)}
+        data = asdict(self)
+        tolerance = data.pop("tolerance")  # kept last
+        data.update(boundary_class=list(self.boundary_class),
+                    failed_checks=list(self.failed_checks), certified=self.certified)
+        return {**data, "tolerance": tolerance}
 
 
 def _check_structure(mesh: ImmersedMobiusMesh) -> None:
@@ -445,7 +454,9 @@ def max_edge_length(mesh: ImmersedMobiusMesh) -> float:
 
 def _core_multiplicity(mesh: ImmersedMobiusMesh, s: SweepParams) -> int:
     """Count, per slice, the chords whose polyline passes through the core
-    point of that slice; the sweep puts every chord through the core."""
+    point of that slice, and return the smallest count.  The sweep puts
+    every chord through the core, so a slice counts at most p chords and
+    the result is p exactly when every slice has all p sheets."""
     n_theta, p, n_chord = s.theta_steps, s.p, s.chord_steps
     pts = mesh.vertices.reshape(n_theta, p, n_chord, 3)
     seg_a = pts[:, :, :-1, :]
@@ -464,12 +475,7 @@ def _core_multiplicity(mesh: ImmersedMobiusMesh, s: SweepParams) -> int:
     dist = np.sqrt(((closest - core) ** 2).sum(axis=-1))
     chord_dist = dist.min(axis=2)
     eps = 1e-9 * max(1.0, s.ring_radius)
-    counts = (chord_dist < eps).sum(axis=1)
-    if counts.min() != counts.max():
-        raise MeshStructureError(
-            f"core sheet count varies across slices: {counts.min()}..{counts.max()}"
-        )
-    return int(counts[0])
+    return int((chord_dist < eps).sum(axis=1).min())
 
 
 def _strip_columns(triangles: np.ndarray, s: SweepParams) -> np.ndarray:
@@ -619,15 +625,17 @@ def distance_to_core_circle(points: np.ndarray, ring_radius: float) -> np.ndarra
 def verify_mesh(
     mesh: ImmersedMobiusMesh, s: SweepParams, tol: Optional[float] = None
 ) -> MeshVerificationReport:
-    """Certify the band's topology and the location of its double points.
+    """Certify that the mesh is the swept (2p, q) band of s.
 
-    Checks run on the abstract mesh (Euler characteristic, boundary cycle
-    count, a coherent orientation of the triangles) and on the ambient
-    geometry (boundary winding class, sheet count through the core,
-    self-intersection scan).  With tol=None the tolerance defaults to three
-    times the longest mesh edge, which absorbs exactly the discretization
-    spread of double points that the smooth construction keeps on the core
-    circle; the report carries the tolerance it used.
+    Measures the abstract mesh (Euler characteristic, boundary cycles,
+    orientability) and the ambient geometry (boundary winding, sheets
+    through the core, self-intersection scan), and names in failed_checks
+    each value that misses the band's: chi 0, one boundary cycle,
+    nonorientable, class (2p, q) with winding totals within 1e-6 of
+    2*pi*2p and 2*pi*q, p core sheets, and no double point farther than
+    tol from the core circle.  With tol=None the tolerance is three times
+    the longest mesh edge, a loose bound: the double points of the swept
+    bands stay hundreds of times closer.  The report carries the tol used.
     """
     if tol is not None and not 0 < tol < inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -649,13 +657,27 @@ def verify_mesh(
     distances = distance_to_core_circle(points, s.ring_radius)
     max_offcore = float(distances.max()) if len(distances) else 0.0
 
+    chi = euler_characteristic(mesh)
+    orientable = is_orientable(mesh)
+    core = _core_multiplicity(mesh, s)
+    passed = {
+        "euler_characteristic": chi == 0,
+        "boundary_component_count": len(cycles) == 1,
+        "orientable": not orientable,
+        "boundary_class": (longitudinal, meridional) == (2 * s.p, s.q),
+        "boundary_winding": abs(theta_total - 2.0 * pi * 2 * s.p) < 1e-6
+        and abs(phi_total - 2.0 * pi * s.q) < 1e-6,
+        "core_multiplicity": core == s.p,
+        "max_offcore_selfintersection_distance": max_offcore <= tol,
+    }
     return MeshVerificationReport(
-        euler_characteristic=euler_characteristic(mesh),
+        euler_characteristic=chi,
         boundary_component_count=len(cycles),
-        orientable=is_orientable(mesh),
+        orientable=orientable,
         boundary_class=(longitudinal, meridional),
         max_offcore_selfintersection_distance=max_offcore,
-        core_multiplicity=_core_multiplicity(mesh, s),
+        core_multiplicity=core,
+        failed_checks=tuple(name for name, ok in passed.items() if not ok),
         tolerance=tol,
     )
 

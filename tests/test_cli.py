@@ -95,6 +95,7 @@ class TestMeshCommands:
         assert code == 0
         assert "euler_characteristic: 0" in out
         assert "orientable: no" in out
+        assert out.splitlines()[-1] == "certified: yes"
 
     def test_build_obj(self, capsys, tmp_path):
         target = tmp_path / "band.obj"
@@ -201,6 +202,37 @@ class TestMeshCommands:
         assert out == ""
         assert "tol must be positive and finite" in err
         assert not target.exists()
+
+    def test_uncertified_build_exits_3_and_writes_no_file(self, capsys, tmp_path):
+        # The double points sit ~1e-2 from the core, far outside this --tol.
+        target = tmp_path / "band.off"
+        code, out, err = run(
+            capsys, "build-mobius", "--p", "2", "--q", "3", "--theta-steps", "64",
+            "--out", str(target), "--tol", "1e-30",
+        )
+        assert code == 3
+        assert err == ""
+        lines = out.splitlines()
+        assert len(lines) == 7 and lines[0] == "euler_characteristic: 0"
+        assert lines[-1] == "certified: no (max_offcore_selfintersection_distance)"
+        assert not target.exists()
+
+    def test_uncertified_verify_exits_3(self, capsys, tmp_path):
+        target = tmp_path / "band.off"
+        code, _, _ = run(
+            capsys, "build-mobius", "--p", "2", "--q", "3", "--theta-steps", "64",
+            "--out", str(target),
+        )
+        assert code == 0
+        code, out, _ = run(
+            capsys, "verify-mesh", "--p", "2", "--q", "3", "--out", str(target),
+            "--tol", "1e-30", "--format", "json",
+        )
+        assert code == 3
+        payload = json.loads(out)
+        assert payload["certified"] is False
+        assert payload["failed_checks"] == ["max_offcore_selfintersection_distance"]
+        assert payload["tolerance"] == 1e-30
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(

@@ -32,10 +32,6 @@ class TestInvariantValue:
         with pytest.raises(ValueError):
             InvariantValue(ValueKind.UNKNOWN, 3, "")
 
-    def test_dict_round_trip(self):
-        v = InvariantValue.lower_bound(2, "why")
-        assert InvariantValue.from_dict(v.to_dict()) == v
-
 
 class TestGammaI:
     def test_even_torus(self):
@@ -209,6 +205,6 @@ class TestReports:
     def test_json_round_trip(self):
         report = invariants.invariant_report(torus(4, 3))
         text = json.dumps(report.to_dict(), indent=2)
-        back = InvariantReport.from_dict(json.loads(text))
-        assert back == report
-        assert json.dumps(back.to_dict(), indent=2) == text
+        back = json.loads(text)
+        assert back == report.to_dict()
+        assert knots.parse_knot(back["knot"]) == report.knot

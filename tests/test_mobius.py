@@ -517,12 +517,27 @@ class TestVerification:
         assert not report.orientable
         assert report.boundary_class == (2 * p, q)
         assert report.core_multiplicity == p
+        assert report.certified and report.failed_checks == ()
 
     def test_negative_q_mirror(self):
         mesh, params = small_mesh(2, -3, theta=24)
         report = mobius.verify_mesh(mesh, params)
         assert report.boundary_class == (4, -3)
         assert not report.orientable
+        assert report.certified
+
+    def test_sheet_pushed_off_the_core_is_not_certified(self):
+        # Sample 3 of chord 0 in slice 5 ends the segment that crosses the
+        # core (chord_steps 8 puts no sample on it); lifting it leaves that
+        # slice one sheet short.
+        mesh, params = small_mesh(2, 3, theta=64, chord=8)
+        vertices = mesh.vertices.copy()
+        vertices[(5 * params.p + 0) * params.chord_steps + 3, 2] += 0.05
+        moved = ImmersedMobiusMesh(vertices=vertices, triangles=mesh.triangles)
+        report = mobius.verify_mesh(moved, params)
+        assert report.core_multiplicity == 1
+        assert report.failed_checks == ("core_multiplicity",)
+        assert not report.certified
 
     def test_p1_has_no_self_intersections(self):
         mesh, params = small_mesh(1, 3, theta=16)
@@ -552,6 +567,10 @@ class TestVerification:
         assert report.boundary_component_count == 2
         assert report.orientable
         assert report.core_multiplicity == 2
+        assert not report.certified
+        assert {
+            "euler_characteristic", "boundary_component_count", "orientable"
+        } <= set(report.failed_checks)
         fast = mobius.self_intersection_points(cut, params)
         slow = oracle_offcore_points(cut, params)
         d_fast = mobius.distance_to_core_circle(fast, params.ring_radius)
@@ -627,6 +646,7 @@ class TestVerification:
         assert report.tolerance == 3.0 * mobius.max_edge_length(mesh)
         assert report.to_dict()["tolerance"] == report.tolerance
         assert list(report.to_dict())[-1] == "tolerance"
+        assert list(report.to_dict())[-3:-1] == ["failed_checks", "certified"]
         assert mobius.verify_mesh(mesh, params, tol=0.5).tolerance == 0.5
 
     def test_winding_angles_near_exact_multiples(self):

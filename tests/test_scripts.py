@@ -27,10 +27,10 @@ def test_gallery_certifies_every_band(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     cases = [(1, 3), (1, 5), (2, 3), (2, 5), (3, 5)]
-    assert len(lines) == 7 * len(cases)  # one build-mobius report per band
+    assert len(lines) == 8 * len(cases)  # one build-mobius report per band
     for i, (p, q) in enumerate(cases):
         path = out_dir / f"mobius_p{p}_q{q}.off"
-        report = lines[7 * i:7 * i + 7]
+        report = lines[8 * i:8 * i + 8]
         assert report[0].startswith("wrote ")
         assert report[0].endswith(f" lines to {path}")
         assert report[1:6] == [
@@ -43,6 +43,7 @@ def test_gallery_certifies_every_band(tmp_path):
         assert path.read_text().startswith(f"OFF\n{64 * p * 8} {2 * 64 * p * 7} 0\n")
         offcore, tol = report[6].split(": ")[1].split(" (tolerance ")
         assert float(offcore) <= float(tol.rstrip(")"))
+        assert report[7] == "certified: yes"
 
 
 def test_gap_table(tmp_path):
