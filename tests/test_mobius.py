@@ -7,7 +7,8 @@ no code.
 """
 
 import tracemalloc
-from math import gcd
+from fractions import Fraction
+from math import floor, gcd
 
 import numpy as np
 import pytest
@@ -336,6 +337,48 @@ def reference_export_mesh(mesh, format):
     else:
         raise ValueError(f"unknown mesh format {format!r}")
     return "\n".join(lines) + "\n"
+
+
+def percent_format_export(mesh, format):
+    """One %-format over the .tolist() values of the whole mesh: the text
+    the byte kernel must reproduce."""
+    fmt = format.lower()
+    if fmt == "off":
+        head = f"OFF\n{mesh.vertex_count} {mesh.triangle_count} 0\n"
+        vertex_row, face_row, base = "%.9f %.9f %.9f\n", "3 %d %d %d\n", 0
+    elif fmt == "obj":
+        head, vertex_row, face_row, base = "", "v %.9f %.9f %.9f\n", "f %d %d %d\n", 1
+    else:
+        raise ValueError(f"unknown mesh format {format!r}")
+    text = (
+        head
+        + (vertex_row * mesh.vertex_count) % tuple(mesh.vertices.ravel().tolist())
+        + (face_row * mesh.triangle_count)
+        % tuple((mesh.triangles + base).ravel().tolist())
+    )
+    return text or "\n"
+
+
+def exact_product(x):
+    """x * 10**9 without rounding."""
+    return Fraction(*x.as_integer_ratio()) * 10**9
+
+
+def near_ties():
+    """Coordinates x whose float product fl(x * 1e9) lies within one ulp of
+    a half-integer h while the exact product is not h, keyed by whether the
+    exact product lies above h."""
+    found = {True: [], False: []}
+    for k in range(500):
+        for base in (0.0, 3.0, 1000.0):
+            middle = base + (k + 0.5) / 1e9
+            for x in (np.nextafter(middle, 0.0), middle, np.nextafter(middle, 2e3)):
+                x = float(x)
+                product = x * 1e9
+                half = floor(product) + 0.5
+                if abs(product - half) <= np.spacing(product) and exact_product(x) != half:
+                    found[exact_product(x) > half].append(x)
+    return found
 
 
 def reference_parse_mesh_text(text):
@@ -1007,6 +1050,32 @@ class TestMeshFormats:
             assert got == want
         else:
             assert_same_arrays(got, want)
+
+    def test_rounding_band_prints_as_python(self):
+        found = near_ties()
+        for above, values in found.items():
+            # Rounding the float product would misprint some of them.
+            assert any(round(x * 1e9) != round(exact_product(x)) for x in values), above
+        values = [*found[True], *found[False]]
+        values += [k / 1024 for k in range(-2048, 2049)]  # exact ties
+        values += [1.5 * 2**52 / 1e9, -(2**53 / 1e9 + 0.25)]  # above 2**52 / 1e9
+        values += [-0.0, -1e-12, -4.9e-10, -(2.0**-31)]  # print as -0.000000000
+        values += [0.0] * (-len(values) % 3)
+        mesh = ImmersedMobiusMesh(
+            vertices=np.array(values).reshape(-1, 3),
+            triangles=np.empty((0, 3), dtype=np.int32),
+        )
+        want = "".join(
+            "v %s %s %s\n" % tuple("%.9f" % x for x in row)
+            for row in np.array(values).reshape(-1, 3).tolist()
+        )
+        assert want.count("-0.000000000") == 4
+        assert mobius.export_mesh(mesh, "obj") == want
+
+    @pytest.mark.parametrize("fmt", ["off", "obj"])
+    def test_band_bytes_match_percent_format(self, fmt):
+        mesh, _ = small_mesh(1, 3, theta=4096, chord=12)
+        assert mobius.export_mesh(mesh, fmt) == percent_format_export(mesh, fmt)
 
     @pytest.mark.parametrize("text, expected, reference_agrees", MESH_FILE_CASES)
     def test_accepts_and_rejects(self, text, expected, reference_agrees):
