@@ -20,7 +20,6 @@ from .knots import (
     KnotPresentation,
     TorusKnot,
     TorusParams,
-    Unknot,
     format_knot,
     is_trivial,
     normalize_torus,
@@ -204,17 +203,14 @@ def gamma4_torus(t: TorusParams) -> InvariantValue:
 def primality(k: KnotPresentation) -> Optional[bool]:
     """Primality when it follows from the presentation's structure.
 
-    Nontrivial torus and cable knots are prime, and so is any knot with
-    immersed crosscap number 1.  Trivial presentations return None (the
-    unknot is neither prime nor composite), as do opaque external names.
+    Nontrivial torus and cable knots are prime.  Trivial presentations
+    return None (the unknot is neither prime nor composite), as do opaque
+    external names.
     """
     require_valid(k)
     if is_trivial(k):
         return None
     if isinstance(k, (TorusKnot, CableKnot)):
-        return True
-    g = gamma_I(k)
-    if g.is_known and g.value == 1:
         return True
     return None
 
@@ -266,7 +262,7 @@ def invariant_report(k: KnotPresentation) -> InvariantReport:
     """Compute every implemented invariant of one presentation."""
     require_valid(k)
     gi = gamma_I(k)
-    if isinstance(k, Unknot) or (isinstance(k, TorusKnot) and is_trivial(k)):
+    if is_trivial(k):
         zero = InvariantValue.known(0, _UNKNOT_PROV)
         g3v, c3, c4 = zero, zero, zero
     elif isinstance(k, TorusKnot):

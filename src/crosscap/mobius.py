@@ -8,16 +8,22 @@ disk meet only at its center, so the band is embedded away from the core
 circle of the solid torus, and all self-intersections of a faithful mesh
 must stay within discretization distance of that core.
 
+The solid torus has ring radius RING_RADIUS = 2 and tube radius
+TUBE_RADIUS = 1, fixed for every band.
+
 The mesh stores only ambient vertices and triangles.  The surface is
 immersed, so distinct domain points may share an ambient point, and the
 sweep-specific checks read the abstract domain from the numbering that
-build_mobius fixes instead: sample m of chord j in slice i is vertex
-(i*p + j)*chord_steps + m, and the two triangles of quad (i, j, m) are
-consecutive and both start at that vertex.  Vertices are identified only at
-the sweep wraparound, where chord j at the full angle matches chord
-(j+q) mod p at angle zero with the induced endpoint map.  The generic
-checks (structure, Euler characteristic, boundary cycles, orientability,
-edge lengths) read nothing but the vertices and triangles.
+build_mobius fixes instead.  The vertex ids form one (slice, chord, sample)
+grid of shape (theta_steps, p, chord_steps): sample m of chord j in slice i
+is vertex (i*p + j)*chord_steps + m.  Quad (i, j, m) joins samples m and
+m+1 of chord j in slices i and i+1, and its two triangles are consecutive
+and both start at vertex (i, j, m).  Vertices are identified only at the
+sweep wraparound, where slice theta_steps stands for slice 0: chord j at
+the full angle matches chord (j+q) mod p at angle zero with the induced
+endpoint map.  The generic checks (structure, Euler characteristic,
+boundary cycles, orientability, edge lengths) read nothing but the vertices
+and triangles.
 """
 
 from __future__ import annotations
@@ -33,6 +39,8 @@ import numpy as np
 
 DEFAULT_MAX_TRIANGLES = 2_000_000
 MAX_MESH_ENV = "CROSSCAP_MAX_MESH"
+RING_RADIUS = 2.0  # distance from the axis to the core circle
+TUBE_RADIUS = 1.0  # radius of each meridian disk
 
 
 class MeshParameterError(ValueError):
@@ -62,7 +70,7 @@ def max_triangle_budget() -> int:
 
 @dataclass(frozen=True)
 class SweepParams:
-    """Resolution and geometry of the swept band.
+    """Boundary class and resolution of the swept band.
 
     p is half the boundary winding (the number of chords per disk), q the
     meridional coefficient with gcd(2p, q) = 1, theta_steps the number of
@@ -73,8 +81,6 @@ class SweepParams:
     q: int
     theta_steps: int = 128
     chord_steps: int = 8
-    ring_radius: float = 2.0
-    tube_radius: float = 1.0
 
     @property
     def triangle_count(self) -> int:
@@ -94,11 +100,12 @@ def validate_sweep(s: SweepParams) -> None:
         raise MeshParameterError(f"theta_steps must be >= 8, got {s.theta_steps}")
     if s.chord_steps < 2:
         raise MeshParameterError(f"chord_steps must be >= 2, got {s.chord_steps}")
-    if not (0 < s.tube_radius < s.ring_radius):
-        raise MeshParameterError(
-            f"need 0 < tube_radius < ring_radius, got {s.tube_radius}, {s.ring_radius}"
-        )
     _check_triangle_budget(s.triangle_count, "mesh would have")
+    if s.theta_steps < 4 * s.p * abs(s.q):
+        raise MeshResolutionError(
+            f"theta_steps={s.theta_steps} cannot separate adjacent boundary "
+            f"points; need at least 4*p*|q| = {4 * s.p * abs(s.q)}"
+        )
 
 
 def _check_triangle_budget(count: int, subject: str) -> None:
@@ -215,63 +222,36 @@ def build_mobius(s: SweepParams) -> ImmersedMobiusMesh:
     chord j joins the antipodal pair (j, j+p) and is sampled uniformly in
     the signed position parameter.  A disk point at radius rho and angle phi
     embeds at ((R + rho*r*cos phi)*cos theta, (R + rho*r*cos phi)*sin theta,
-    rho*r*sin phi).
+    rho*r*sin phi), with R = RING_RADIUS and r = TUBE_RADIUS.
+
+    The triangles come from one (theta_steps + 1, p, chord_steps) grid of
+    vertex ids: the (slice, chord, sample) grid of the module docstring,
+    plus a wraparound row that holds, for each chord j, slice 0 of chord
+    chord_successor(p, q, j), with its samples reversed when the chord
+    comes back flipped.  Each quad splits along the diagonal from its
+    (slice i, sample m) corner to its (slice i+1, sample m+1) corner.
     """
     validate_sweep(s)
     p, q, n_theta, n_chord = s.p, s.q, s.theta_steps, s.chord_steps
-    if n_theta < 4 * p * abs(q):
-        raise MeshResolutionError(
-            f"theta_steps={n_theta} cannot separate adjacent boundary points; "
-            f"need at least 4*p*|q| = {4 * p * abs(q)}"
-        )
-    big_r, small_r = s.ring_radius, s.tube_radius
-
-    def grid(samples: int) -> list[np.ndarray]:
-        """Flat (slice, chord, sample) indices, the sample varying fastest."""
-        axes = (np.arange(n_theta), np.arange(p), np.arange(samples))
-        return [g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")]
-
-    i_flat, j_flat, m_flat = grid(n_chord)
-    theta = 2.0 * pi * i_flat / n_theta
-    alpha = (2.0 * pi * j_flat + q * theta) / (2.0 * p)
-    pos = -1.0 + 2.0 * m_flat / (n_chord - 1)
+    theta = 2.0 * pi * np.arange(n_theta).reshape(-1, 1, 1) / n_theta
+    alpha = (2.0 * pi * np.arange(p).reshape(-1, 1) + q * theta) / (2.0 * p)
+    pos = -1.0 + 2.0 * np.arange(n_chord) / (n_chord - 1)
     disk_x = pos * np.cos(alpha)
     disk_y = pos * np.sin(alpha)
-    ring = big_r + small_r * disk_x
+    ring = RING_RADIUS + TUBE_RADIUS * disk_x
     vertices = np.stack(
-        [ring * np.cos(theta), ring * np.sin(theta), small_r * disk_y], axis=1
-    )
+        [ring * np.cos(theta), ring * np.sin(theta), TUBE_RADIUS * disk_y], axis=-1
+    ).reshape(-1, 3)
 
-    def vid(i: np.ndarray, j: np.ndarray, m: np.ndarray) -> np.ndarray:
-        return (i * p + j) * n_chord + m
-
-    # Vertex grid of the "next" slice, using the wraparound identification
-    # for i = n_theta - 1: chord j continues as chord_successor(p, q, j),
-    # with the sample order reversed when the chord comes back flipped.
-    succ = np.array([chord_successor(p, q, j) for j in range(p)], dtype=np.int64)
-    succ_chord, succ_flip = succ[:, 0], succ[:, 1]
-
-    def next_vid(i: np.ndarray, j: np.ndarray, m: np.ndarray) -> np.ndarray:
-        wrap = i == n_theta - 1
-        j2 = np.where(wrap, succ_chord[j], j)
-        m2 = np.where(wrap & (succ_flip[j] == 1), n_chord - 1 - m, m)
-        i2 = np.where(wrap, 0, i + 1)
-        return vid(i2, j2, m2)
-
-    quads_i, quads_j, quads_m = grid(n_chord - 1)
-    corner_a = vid(quads_i, quads_j, quads_m)
-    corner_b = next_vid(quads_i, quads_j, quads_m)
-    corner_c = vid(quads_i, quads_j, quads_m + 1)
-    corner_d = next_vid(quads_i, quads_j, quads_m + 1)
-
-    # Fixed diagonal rule: split each quad from its (slice i, sample m)
-    # corner to the (slice i+1, sample m+1) corner.
-    tri_1 = np.stack([corner_a, corner_b, corner_d], axis=1)
-    tri_2 = np.stack([corner_a, corner_d, corner_c], axis=1)
-    triangles = np.empty((2 * len(corner_a), 3), dtype=np.int32)
-    triangles[0::2] = tri_1
-    triangles[1::2] = tri_2
-
+    ids = np.arange(n_theta * p * n_chord, dtype=np.int32).reshape(n_theta, p, n_chord)
+    wrap = np.empty((1, p, n_chord), dtype=np.int32)
+    for j in range(p):
+        nxt, flip = chord_successor(p, q, j)
+        wrap[0, j] = ids[0, nxt, ::-1] if flip else ids[0, nxt]
+    grid = np.concatenate([ids, wrap])
+    a, c = grid[:-1, :, :-1], grid[:-1, :, 1:]
+    b, d = grid[1:, :, :-1], grid[1:, :, 1:]
+    triangles = np.stack([a, b, d, a, d, c], axis=-1).reshape(-1, 3)
     return ImmersedMobiusMesh(vertices=vertices, triangles=triangles)
 
 
@@ -415,9 +395,7 @@ def _wrap_angle(delta: np.ndarray) -> np.ndarray:
     return (delta + pi) % (2.0 * pi) - pi
 
 
-def boundary_winding_angles(
-    mesh: ImmersedMobiusMesh, ring_radius: float
-) -> tuple[float, float]:
+def boundary_winding_angles(mesh: ImmersedMobiusMesh) -> tuple[float, float]:
     """Total longitudinal and meridional angle along the boundary polyline.
 
     Each cycle is traversed in the direction of positive longitudinal
@@ -429,7 +407,7 @@ def boundary_winding_angles(
     for cycle in mesh._boundary_cycles:
         pts = mesh.vertices[np.array(cycle, dtype=np.int64)]
         theta = np.arctan2(pts[:, 1], pts[:, 0])
-        radial = np.hypot(pts[:, 0], pts[:, 1]) - ring_radius
+        radial = np.hypot(pts[:, 0], pts[:, 1]) - RING_RADIUS
         phi = np.arctan2(pts[:, 2], radial)
         d_theta = _wrap_angle(np.diff(theta, append=theta[:1]))
         d_phi = _wrap_angle(np.diff(phi, append=phi[:1]))
@@ -463,7 +441,7 @@ def _core_multiplicity(mesh: ImmersedMobiusMesh, s: SweepParams) -> int:
     seg_b = pts[:, :, 1:, :]
     theta = 2.0 * pi * np.arange(n_theta) / n_theta
     core = np.stack(
-        [s.ring_radius * np.cos(theta), s.ring_radius * np.sin(theta),
+        [RING_RADIUS * np.cos(theta), RING_RADIUS * np.sin(theta),
          np.zeros(n_theta)],
         axis=1,
     )[:, None, None, :]
@@ -474,7 +452,7 @@ def _core_multiplicity(mesh: ImmersedMobiusMesh, s: SweepParams) -> int:
     closest = seg_a + seg * t_par[..., None]
     dist = np.sqrt(((closest - core) ** 2).sum(axis=-1))
     chord_dist = dist.min(axis=2)
-    eps = 1e-9 * max(1.0, s.ring_radius)
+    eps = 1e-9 * RING_RADIUS
     return int((chord_dist < eps).sum(axis=1).min())
 
 
@@ -614,11 +592,12 @@ def self_intersection_points(mesh: ImmersedMobiusMesh, s: SweepParams) -> np.nda
     return np.concatenate(found)
 
 
-def distance_to_core_circle(points: np.ndarray, ring_radius: float) -> np.ndarray:
-    """Distance from each point to the circle x^2 + y^2 = R^2, z = 0."""
+def distance_to_core_circle(points: np.ndarray) -> np.ndarray:
+    """Distance from each point to the core circle x^2 + y^2 = R^2, z = 0,
+    R = RING_RADIUS."""
     if not len(points):
         return np.empty(0)
-    radial = np.hypot(points[:, 0], points[:, 1]) - ring_radius
+    radial = np.hypot(points[:, 0], points[:, 1]) - RING_RADIUS
     return np.hypot(radial, points[:, 2])
 
 
@@ -631,11 +610,11 @@ def verify_mesh(
     orientability) and the ambient geometry (boundary winding, sheets
     through the core, self-intersection scan), and names in failed_checks
     each value that misses the band's: chi 0, one boundary cycle,
-    nonorientable, class (2p, q) with winding totals within 1e-6 of
-    2*pi*2p and 2*pi*q, p core sheets, and no double point farther than
-    tol from the core circle.  With tol=None the tolerance is three times
-    the longest mesh edge, a loose bound: the double points of the swept
-    bands stay hundreds of times closer.  The report carries the tol used.
+    nonorientable, class (2p, q), p core sheets, and no double point
+    farther than tol from the core circle.  With tol=None the tolerance is
+    three times the longest mesh edge, a loose bound: the double points of
+    the swept bands stay hundreds of times closer.  The report carries the
+    tol used.
     """
     if tol is not None and not 0 < tol < inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -647,14 +626,14 @@ def verify_mesh(
         )
     _check_structure(mesh)
     cycles = boundary_cycles(mesh)  # walked once; the winding reuses them
-    theta_total, phi_total = boundary_winding_angles(mesh, s.ring_radius)
+    theta_total, phi_total = boundary_winding_angles(mesh)
     longitudinal = int(round(theta_total / (2.0 * pi)))
     meridional = int(round(phi_total / (2.0 * pi)))
 
     if tol is None:
         tol = 3.0 * max_edge_length(mesh)
     points = self_intersection_points(mesh, s)
-    distances = distance_to_core_circle(points, s.ring_radius)
+    distances = distance_to_core_circle(points)
     max_offcore = float(distances.max()) if len(distances) else 0.0
 
     chi = euler_characteristic(mesh)
@@ -665,8 +644,6 @@ def verify_mesh(
         "boundary_component_count": len(cycles) == 1,
         "orientable": not orientable,
         "boundary_class": (longitudinal, meridional) == (2 * s.p, s.q),
-        "boundary_winding": abs(theta_total - 2.0 * pi * 2 * s.p) < 1e-6
-        and abs(phi_total - 2.0 * pi * s.q) < 1e-6,
         "core_multiplicity": core == s.p,
         "max_offcore_selfintersection_distance": max_offcore <= tol,
     }

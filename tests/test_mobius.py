@@ -8,7 +8,7 @@ no code.
 
 import tracemalloc
 from fractions import Fraction
-from math import floor, gcd
+from math import cos, floor, gcd, pi, sin
 
 import numpy as np
 import pytest
@@ -21,7 +21,9 @@ from crosscap.mobius import (
     MeshParameterError,
     MeshResolutionError,
     MeshStructureError,
+    RING_RADIUS,
     SweepParams,
+    TUBE_RADIUS,
 )
 
 
@@ -474,6 +476,37 @@ def draw_small_sweep(data):
     return mesh, params
 
 
+def reference_sweep(p, q, theta_steps, chord_steps):
+    """Vertices and triangles of the swept band, one quad at a time, from
+    the module docstring: sample m of chord j in slice i is vertex
+    (i*p + j)*chord_steps + m, slice theta_steps is slice 0 with chord j
+    continued by the chord whose boundary ends sit at disk angle
+    2*pi*(j+q)/(2p), and quad (i, j, m) is the pair of triangles
+    (i,m) (i+1,m) (i+1,m+1) and (i,m) (i+1,m+1) (i,m+1) of chord j."""
+
+    def vertex_id(i, j, m):
+        if i == theta_steps:
+            i, end = 0, (j + q) % (2 * p)
+            j, m = (end, m) if end < p else (end - p, chord_steps - 1 - m)
+        return (i * p + j) * chord_steps + m
+
+    vertices, triangles = [], []
+    for i in range(theta_steps):
+        theta = 2 * pi * i / theta_steps
+        for j in range(p):
+            alpha = (2 * pi * j + q * theta) / (2 * p)
+            for m in range(chord_steps):
+                rho = -1 + 2 * m / (chord_steps - 1)
+                ring = RING_RADIUS + TUBE_RADIUS * rho * cos(alpha)
+                height = TUBE_RADIUS * rho * sin(alpha)
+                vertices.append((ring * cos(theta), ring * sin(theta), height))
+            for m in range(chord_steps - 1):
+                a, c = vertex_id(i, j, m), vertex_id(i, j, m + 1)
+                b, d = vertex_id(i + 1, j, m), vertex_id(i + 1, j, m + 1)
+                triangles += [(a, b, d), (a, d, c)]
+    return np.array(vertices), np.array(triangles, dtype=np.int32)
+
+
 # --- parameter validation ----------------------------------------------------
 
 
@@ -485,12 +518,6 @@ class TestParams:
     def test_resolution_floor(self):
         with pytest.raises(MeshResolutionError):
             mobius.build_mobius(SweepParams(p=2, q=5, theta_steps=32))
-
-    def test_radii_ordering(self):
-        with pytest.raises(MeshParameterError):
-            mobius.build_mobius(
-                SweepParams(p=1, q=3, theta_steps=16, ring_radius=1.0, tube_radius=2.0)
-            )
 
     def test_triangle_budget(self, monkeypatch):
         monkeypatch.setenv(mobius.MAX_MESH_ENV, "100")
@@ -527,21 +554,39 @@ class TestConstruction:
         # middle sample on the core circle, evenly spaced in between.
         mesh, params = small_mesh(1, 3, chord=5)
         pts = mesh.vertices.reshape(params.theta_steps, params.chord_steps, 3)
-        core = mobius.distance_to_core_circle(
-            pts.reshape(-1, 3), params.ring_radius
-        ).reshape(params.theta_steps, params.chord_steps)
-        assert np.allclose(core[:, [0, -1]], params.tube_radius, atol=1e-12)
+        core = mobius.distance_to_core_circle(pts.reshape(-1, 3)).reshape(
+            params.theta_steps, params.chord_steps
+        )
+        assert np.allclose(core[:, [0, -1]], TUBE_RADIUS, atol=1e-12)
         assert np.allclose(core[:, 2], 0.0, atol=1e-12)
         steps = np.linalg.norm(np.diff(pts, axis=1), axis=2)
-        assert np.allclose(steps, params.tube_radius / 2, atol=1e-12)
+        assert np.allclose(steps, TUBE_RADIUS / 2, atol=1e-12)
 
     def test_boundary_vertices_sit_on_torus(self):
         mesh, params = small_mesh(2, 3, theta=24)
         on_boundary = np.unique(mesh.boundary_edges)
         pts = mesh.vertices[on_boundary]
-        radial = np.hypot(pts[:, 0], pts[:, 1]) - params.ring_radius
+        radial = np.hypot(pts[:, 0], pts[:, 1]) - RING_RADIUS
         meridian_r = np.hypot(radial, pts[:, 2])
-        assert np.allclose(meridian_r, params.tube_radius, atol=1e-12)
+        assert np.allclose(meridian_r, TUBE_RADIUS, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_numbering_matches_per_quad_reference(self, data):
+        p = data.draw(st.integers(1, 4), label="p")
+        q = data.draw(
+            st.integers(-7, 7).filter(lambda q: q != 0 and gcd(2 * p, abs(q)) == 1),
+            label="q",
+        )
+        low = max(8, 4 * p * abs(q))
+        theta = data.draw(st.integers(low, low + 9), label="theta")
+        chord = data.draw(st.integers(2, 5), label="chord")
+        mesh, _ = small_mesh(p, q, theta=theta, chord=chord)
+        vertices, triangles = reference_sweep(p, q, theta, chord)
+        assert mesh.triangles.dtype == np.int32
+        assert np.array_equal(mesh.triangles, triangles)
+        assert mesh.vertices.shape == vertices.shape
+        assert np.abs(mesh.vertices - vertices).max() <= 1e-12
 
     def test_chord_monodromy(self):
         for p, q in [(1, 3), (2, 3), (3, 5), (5, 3), (4, 7)]:
@@ -593,8 +638,8 @@ class TestVerification:
         fast = mobius.self_intersection_points(mesh, params)
         slow = oracle_offcore_points(mesh, params)
         assert len(fast) > 0 and len(slow) > 0
-        d_fast = mobius.distance_to_core_circle(fast, params.ring_radius)
-        d_slow = mobius.distance_to_core_circle(slow, params.ring_radius)
+        d_fast = mobius.distance_to_core_circle(fast)
+        d_slow = mobius.distance_to_core_circle(slow)
         assert abs(d_fast.max() - d_slow.max()) < 1e-9
         tol = 3.0 * mobius.max_edge_length(mesh)
         assert d_slow.max() <= tol
@@ -616,8 +661,8 @@ class TestVerification:
         } <= set(report.failed_checks)
         fast = mobius.self_intersection_points(cut, params)
         slow = oracle_offcore_points(cut, params)
-        d_fast = mobius.distance_to_core_circle(fast, params.ring_radius)
-        d_slow = mobius.distance_to_core_circle(slow, params.ring_radius)
+        d_fast = mobius.distance_to_core_circle(fast)
+        d_slow = mobius.distance_to_core_circle(slow)
         assert len(fast) > 0 and abs(d_fast.max() - d_slow.max()) < 1e-9
         assert_same_point_sets(fast, slow)
 
@@ -629,8 +674,8 @@ class TestVerification:
         slow = oracle_offcore_points(mesh, params)
         assert (len(fast) == 0) == (len(slow) == 0)
         if len(fast):
-            d_fast = mobius.distance_to_core_circle(fast, params.ring_radius)
-            d_slow = mobius.distance_to_core_circle(slow, params.ring_radius)
+            d_fast = mobius.distance_to_core_circle(fast)
+            d_slow = mobius.distance_to_core_circle(slow)
             assert abs(d_fast.max() - d_slow.max()) < 1e-9
         assert_same_point_sets(fast, slow)
 
@@ -694,9 +739,7 @@ class TestVerification:
 
     def test_winding_angles_near_exact_multiples(self):
         mesh, params = small_mesh(2, 3, theta=48)
-        theta_total, phi_total = mobius.boundary_winding_angles(
-            mesh, params.ring_radius
-        )
+        theta_total, phi_total = mobius.boundary_winding_angles(mesh)
         assert abs(theta_total - 2 * np.pi * 4) < 1e-6
         assert abs(phi_total - 2 * np.pi * 3) < 1e-6
 
