@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
@@ -28,6 +29,8 @@ if TYPE_CHECKING:
 USAGE_EXIT = 1
 VALIDATION_EXIT = 2
 CHECK_FAILED_EXIT = 3
+
+_JSON_BLOCK_CHUNKS = 4096  # encoder chunks joined per write of --format json
 
 # What a command returns: (JSON payload, text lines, exit code).  A command
 # whose output is large may leave the form --format does not ask for empty.
@@ -256,7 +259,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         payload, lines, code = _COMMANDS[args.command](args)
         # Printing stays in the try: a closed stdout is an OSError, exit 2.
-        print(json.dumps(payload, indent=2) if args.format == "json" else "\n".join(lines))
+        if args.format == "json":
+            # Written in blocks of encoder chunks, so the text is never held
+            # whole; one write per chunk would triple the time of a large
+            # table.  With fd 1 closed at start-up sys.stdout is None and
+            # print() drops its output; the JSON is dropped with it.
+            if sys.stdout is not None:
+                chunks = json.JSONEncoder(indent=2).iterencode(payload)
+                while block := "".join(islice(chunks, _JSON_BLOCK_CHUNKS)):
+                    sys.stdout.write(block)
+            print()
+        else:
+            print("\n".join(lines))
         return code
     except _UsageError as exc:
         print(exc, file=sys.stderr)

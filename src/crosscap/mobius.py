@@ -496,7 +496,36 @@ def _segment_triangle_points(
     return mask, p0 + d * t[:, None]
 
 
-_CROSSING_BATCH = 65536  # triangle pairs per batched crossing test
+_CROSSING_BATCH = 8192  # box-survivor pairs gathered before a crossing test
+
+
+def _triangle_boxes(mesh: ImmersedMobiusMesh) -> np.ndarray:
+    """Bounding boxes as a (6, F) column array: rows 0-2 the lowest x, y,
+    z of each triangle, rows 3-5 the highest plus the 1e-12 margin.  The
+    corners are gathered one at a time, so no (F, 3, 3) array is built."""
+    vertices, triangles = mesh.vertices, mesh.triangles
+    box = np.empty((6, len(triangles)))
+    lo, hi = box[:3].T, box[3:].T
+    a, b = vertices[triangles[:, 0]], vertices[triangles[:, 1]]
+    np.minimum(a, b, out=lo)
+    np.maximum(a, b, out=hi)
+    c = vertices[triangles[:, 2]]
+    np.minimum(lo, c, out=lo)
+    np.maximum(hi, c, out=hi)
+    hi += 1e-12
+    return box
+
+
+def _crossing_points(mesh: ImmersedMobiusMesh, pairs: np.ndarray) -> list[np.ndarray]:
+    """Points where an edge of one triangle of a pair crosses the other,
+    one array per edge probe: three edges of each side probe the other."""
+    tri_a, tri_b = mesh.vertices.take(mesh.triangles.take(pairs.T, axis=0), axis=0)
+    found = []
+    for probe, target in ((tri_a, tri_b), (tri_b, tri_a)):
+        for e0, e1 in ((0, 1), (1, 2), (2, 0)):
+            mask, pts = _segment_triangle_points(probe[:, e0], probe[:, e1], target)
+            found.append(pts[mask])
+    return found
 
 
 def self_intersection_points(mesh: ImmersedMobiusMesh, s: SweepParams) -> np.ndarray:
@@ -508,10 +537,9 @@ def self_intersection_points(mesh: ImmersedMobiusMesh, s: SweepParams) -> np.nda
     pairs (circular strip distance <= 1) share mesh edges by construction
     and are excluded.
 
-    Each triangle's bounding box is computed once, as a (6, F) column
-    array: rows 0-2 hold the lowest x, y, z and rows 3-5 the highest x,
-    y, z plus the 1e-12 margin, so two boxes touch on an axis when each
-    one's low row is at most the other's high row.
+    Each triangle's bounding box is computed once (_triangle_boxes), so
+    two boxes touch on an axis when each one's low row is at most the
+    other's high row.
 
     The broad phase sweeps on z (sort-and-sweep, Baraff 1992), one window
     at a time.  Window d holds sectors d and d + 1, stably sorted by each
@@ -526,17 +554,22 @@ def self_intersection_points(mesh: ImmersedMobiusMesh, s: SweepParams) -> np.nda
     only.  Window d owns the pairs with a member in sector d; a pair
     inside sector d + 1 belongs to window d + 1.  Ownership, circular
     strip distance > 1 and the x/y box overlap form one mask over
-    window-local positions, which compresses the pairs once.  The cost is
-    O(F log F + pairs overlapping in z), and memory holds one window's
-    z-overlapping pairs plus the pairs whose boxes touch.
+    window-local positions, which compresses the pairs once.
+
+    The narrow phase runs inside the window loop.  Box survivors wait in
+    a pending list; once it holds at least _CROSSING_BATCH pairs, the
+    crossing test gathers their corners and runs on them, and the list is
+    cleared; the rest is tested after the last window.  The cost is
+    O(F log F + pairs overlapping in z).  Memory holds the per-triangle
+    columns (boxes, strip columns, sector order), one window's
+    z-overlapping pairs, one crossing batch (fewer than _CROSSING_BATCH
+    pairs plus one window's survivors) and the hit rows; no array spans
+    every box survivor.
 
     For p = 1 the strip has length theta_steps, so a triangle's sector is
     its column, and a pair in the same or adjacent sectors is at circular
     strip distance at most 1: no pair can pass, and the scan returns no
     points without reading the mesh.
-
-    The crossing test runs once over all pairs whose boxes touch, in
-    fixed-size batches.
     """
     if s.p == 1:
         return np.empty((0, 3))
@@ -545,16 +578,10 @@ def self_intersection_points(mesh: ImmersedMobiusMesh, s: SweepParams) -> np.nda
     sector = cols % n_theta
     by_sector = np.argsort(sector, kind="stable")
     bounds = np.searchsorted(sector[by_sector], np.arange(n_theta + 1))
-    coords = mesh.vertices[mesh.triangles]
-    box = np.empty((6, len(coords)))
-    lo, hi = box[:3].T, box[3:].T
-    np.minimum(coords[:, 0], coords[:, 1], out=lo)
-    np.minimum(lo, coords[:, 2], out=lo)
-    np.maximum(coords[:, 0], coords[:, 1], out=hi)
-    np.maximum(hi, coords[:, 2], out=hi)
-    hi += 1e-12
+    box = _triangle_boxes(mesh)
 
-    pairs = [np.empty((0, 2), dtype=np.intp)]
+    found = [np.empty((0, 3))]
+    pending, pending_count = [], 0
     for d in range(n_theta):
         own = by_sector[bounds[d]:bounds[d + 1]]
         if not len(own):
@@ -579,16 +606,13 @@ def self_intersection_points(mesh: ImmersedMobiusMesh, s: SweepParams) -> np.nda
         keep &= lo_x[j] <= hi_x[i]
         keep &= lo_y[i] <= hi_y[j]
         keep &= lo_y[j] <= hi_y[i]
-        pairs.append(np.stack([window[i[keep]], window[j[keep]]], axis=1))
-    pairs = np.concatenate(pairs)
-
-    found = [np.empty((0, 3))]
-    for start in range(0, len(pairs), _CROSSING_BATCH):
-        tri_a, tri_b = coords[pairs[start:start + _CROSSING_BATCH].T]
-        for probe, target in ((tri_a, tri_b), (tri_b, tri_a)):
-            for e0, e1 in ((0, 1), (1, 2), (2, 0)):
-                mask, pts = _segment_triangle_points(probe[:, e0], probe[:, e1], target)
-                found.append(pts[mask])
+        pending.append(np.stack([window[i[keep]], window[j[keep]]], axis=1))
+        pending_count += len(pending[-1])
+        if pending_count >= _CROSSING_BATCH:
+            found += _crossing_points(mesh, np.concatenate(pending))
+            pending, pending_count = [], 0
+    if pending_count:
+        found += _crossing_points(mesh, np.concatenate(pending))
     return np.concatenate(found)
 
 

@@ -1,10 +1,17 @@
 """CLI surface: output shapes, JSON round-trips, file writing, exit codes."""
 
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from crosscap import cli
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -72,9 +79,38 @@ class TestGaps:
         assert rows[-1]["gamma_4"]["value"] == 4
         assert json.dumps(rows, indent=2) == out.rstrip("\n")
 
+    def test_json_written_in_blocks_matches_dumps(self, capsys):
+        # 299 rows are about 27,000 encoder chunks: several blocks.
+        code, out, _ = run(capsys, "gaps", "--k-max", "300", "--format", "json")
+        assert code == 0
+        assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
     def test_bad_k_exits_2(self, capsys):
         code, _, err = run(capsys, "gaps", "--k-max", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_closed_stdout_exits_2(self, capsys, monkeypatch, fmt):
+        stream = io.StringIO()
+        stream.close()
+        monkeypatch.setattr(sys, "stdout", stream)
+        assert cli.main(["gaps", "--k-max", "5", "--format", fmt]) == 2
+        assert "closed file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_stdout_closed_at_startup_drops_output(self, fmt):
+        # With fd 1 closed before the interpreter starts, sys.stdout is None.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "crosscap.cli", "gaps", "--k-max", "5",
+             "--format", fmt],
+            preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE, env=env,
+            text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
 
 
 class TestMeshCommands:

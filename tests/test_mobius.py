@@ -689,6 +689,19 @@ class TestVerification:
         slow = all_pairs_scan_rows(mesh, params)
         assert sorted_row_bytes(fast) == sorted_row_bytes(slow)
 
+    @pytest.mark.parametrize("batch", [1, 7])
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_scan_rows_do_not_depend_on_batch_boundaries(self, batch, data):
+        # A batch of 1 flushes after every window with a box survivor; 7
+        # flushes mid-run and leaves a remainder for the final flush.
+        mesh, params = draw_small_sweep(data)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mobius, "_CROSSING_BATCH", batch)
+            fast = mobius.self_intersection_points(mesh, params)
+        slow = all_pairs_scan_rows(mesh, params)
+        assert sorted_row_bytes(fast) == sorted_row_bytes(slow)
+
     @pytest.mark.parametrize("side", [1.0, -1.0])
     @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_scan_keeps_pair_touching_only_within_margin(self, axis, side):
@@ -727,6 +740,18 @@ class TestVerification:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    def test_verify_memory_is_bounded_by_crossing_batches(self):
+        # 76,800 triangles and 61,440 hit rows; holding every box survivor
+        # and every triangle's corners at once peaks at 40 MB.
+        mesh, params = small_mesh(5, -9, theta=512, chord=16)
+        tracemalloc.start()
+        try:
+            mobius.verify_mesh(mesh, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
 
     def test_report_carries_tolerance(self):
         mesh, params = small_mesh(2, 3, theta=24)
