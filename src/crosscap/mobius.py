@@ -467,65 +467,106 @@ def _strip_columns(triangles: np.ndarray, s: SweepParams) -> np.ndarray:
     return ((chord * q_inv) % s.p * s.theta_steps + slice_index).astype(np.int32)
 
 
-def _segment_triangle_points(
-    p0: np.ndarray, p1: np.ndarray, tri: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched segment-triangle crossing test; returns (mask, points)."""
-    d = p1 - p0
-    e1 = tri[:, 1] - tri[:, 0]
-    e2 = tri[:, 2] - tri[:, 0]
-    h = np.cross(d, e2)
-    det = np.einsum("ij,ij->i", e1, h)
-    ok = np.abs(det) > 1e-14
-    safe_det = np.where(ok, det, 1.0)
-    inv = 1.0 / safe_det
-    svec = p0 - tri[:, 0]
-    u = np.einsum("ij,ij->i", svec, h) * inv
-    qv = np.cross(svec, e1)
-    v = np.einsum("ij,ij->i", d, qv) * inv
-    t = np.einsum("ij,ij->i", e2, qv) * inv
-    eps = 1e-10
-    mask = (
-        ok
-        & (u >= -eps)
-        & (v >= -eps)
-        & (u + v <= 1.0 + eps)
-        & (t >= -eps)
-        & (t <= 1.0 + eps)
-    )
-    return mask, p0 + d * t[:, None]
-
-
+_SWEEP_CHUNK = 1024  # sorted triangles whose partner runs are expanded at once
 _CROSSING_BATCH = 8192  # box-survivor pairs gathered before a crossing test
 
 
 def _triangle_boxes(mesh: ImmersedMobiusMesh) -> np.ndarray:
     """Bounding boxes as a (6, F) column array: rows 0-2 the lowest x, y,
-    z of each triangle, rows 3-5 the highest plus the 1e-12 margin.  The
-    corners are gathered one at a time, so no (F, 3, 3) array is built."""
-    vertices, triangles = mesh.vertices, mesh.triangles
-    box = np.empty((6, len(triangles)))
-    lo, hi = box[:3].T, box[3:].T
-    a, b = vertices[triangles[:, 0]], vertices[triangles[:, 1]]
-    np.minimum(a, b, out=lo)
-    np.maximum(a, b, out=hi)
-    c = vertices[triangles[:, 2]]
-    np.minimum(lo, c, out=lo)
-    np.maximum(hi, c, out=hi)
-    hi += 1e-12
+    z of each triangle, rows 3-5 the highest plus the 1e-12 margin.  Each
+    coordinate column gathers its three corners on its own, so no
+    (F, 3, 3) array is built."""
+    box = np.empty((6, len(mesh.triangles)))
+    corners = mesh.triangles.T
+    for k in range(3):
+        column = np.ascontiguousarray(mesh.vertices[:, k])
+        a, b, c = (column.take(corner) for corner in corners)
+        np.minimum(np.minimum(a, b, out=box[k]), c, out=box[k])
+        np.maximum(np.maximum(a, b, out=box[k + 3]), c, out=box[k + 3])
+    box[3:] += 1e-12
     return box
+
+
+def _dot(a, b) -> np.ndarray:
+    # The order in which einsum("ij,ij->i") sums a row of three, into a +0.0
+    # accumulator that turns a -0.0 sum into +0.0.  The crossing points, and
+    # the off-core distances in tests/golden/cli.json, depend on it to the
+    # last bit: (x + y) + z moves them.
+    return (a[0] * b[0] + a[2] * b[2]) + a[1] * b[1] + 0.0
+
+
+def _cross(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return (a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
 
 
 def _crossing_points(mesh: ImmersedMobiusMesh, pairs: np.ndarray) -> list[np.ndarray]:
     """Points where an edge of one triangle of a pair crosses the other,
-    one array per edge probe: three edges of each side probe the other."""
-    tri_a, tri_b = mesh.vertices.take(mesh.triangles.take(pairs.T, axis=0), axis=0)
+    one (n, 3) array per edge probe: the three edges of each side probe
+    the other side's triangle (Moeller-Trumbore: a crossing needs
+    |det| > 1e-14 and its barycentric and segment parameters within 1e-10
+    of their ranges).
+
+    The narrow phase works on coordinate columns.  Each side's corners are
+    gathered once into a (3 coordinates, 3 corners, n) array; a target's
+    two edge vectors are formed once per direction, not once per probe.
+    Cross and dot products are written out per component, and each dot
+    product is summed as (x*x' + z*z') + y*y' + 0.0 (_dot), so the points
+    equal those of an einsum over (n, 3) rows to the bit, signs of zero
+    included.
+    """
+    corners = mesh.vertices.take(mesh.triangles.take(pairs, axis=0), axis=0)
+    corners = np.ascontiguousarray(corners.transpose(3, 2, 1, 0))
+    sides = corners[:, :, 0], corners[:, :, 1]
+    eps = 1e-10
     found = []
-    for probe, target in ((tri_a, tri_b), (tri_b, tri_a)):
-        for e0, e1 in ((0, 1), (1, 2), (2, 0)):
-            mask, pts = _segment_triangle_points(probe[:, e0], probe[:, e1], target)
-            found.append(pts[mask])
+    for probe, target in (sides, sides[::-1]):
+        base = target[:, 0]
+        e1, e2 = target[:, 1] - base, target[:, 2] - base
+        for i, j in ((0, 1), (1, 2), (2, 0)):
+            p0 = probe[:, i]
+            d = probe[:, j] - p0
+            h = _cross(d, e2)
+            det = _dot(e1, h)
+            ok = np.abs(det) > 1e-14
+            inv = 1.0 / np.where(ok, det, 1.0)
+            svec = p0 - base
+            u = _dot(svec, h) * inv
+            qv = _cross(svec, e1)
+            v = _dot(d, qv) * inv
+            t = _dot(e2, qv) * inv
+            hit = np.flatnonzero(
+                ok
+                & (u >= -eps)
+                & (v >= -eps)
+                & (u + v <= 1.0 + eps)
+                & (t >= -eps)
+                & (t <= 1.0 + eps)
+            )
+            t = t.take(hit)
+            found.append(np.stack(
+                [p0[k].take(hit) + d[k].take(hit) * t for k in range(3)], axis=1
+            ))
     return found
+
+
+def _sweep_order(mesh: ImmersedMobiusMesh, s: SweepParams) -> tuple:
+    """The triangles sorted by the key sector*F + rank, where rank is a
+    triangle's place in an argsort of the lowest z.  Returns the order
+    and, in that order, the keys, each triangle's reach (how many
+    triangles have a lowest z at most its highest z plus the margin), the
+    strip columns and the lowest x, y and highest x, y."""
+    count = len(mesh.triangles)
+    box = _triangle_boxes(mesh)
+    by_z = np.argsort(box[2])
+    reach = np.searchsorted(box[2, by_z], box[5, by_z], side="right")
+    cols = _strip_columns(mesh.triangles, s)
+    key = (cols[by_z] % s.theta_steps).astype(np.int64) * count + np.arange(count)
+    order = np.argsort(key)  # the keys are distinct, so any sort gives this
+    key, reach, order = key[order], reach[order], by_z[order]
+    xy_box = [box[row].take(order) for row in (0, 1, 3, 4)]
+    return order, key, reach, cols[order], xy_box
 
 
 def self_intersection_points(mesh: ImmersedMobiusMesh, s: SweepParams) -> np.ndarray:
@@ -539,32 +580,35 @@ def self_intersection_points(mesh: ImmersedMobiusMesh, s: SweepParams) -> np.nda
 
     Each triangle's bounding box is computed once (_triangle_boxes), so
     two boxes touch on an axis when each one's low row is at most the
-    other's high row.
+    other's high row, which carries the 1e-12 margin.
 
-    The broad phase sweeps on z (sort-and-sweep, Baraff 1992), one window
-    at a time.  Window d holds sectors d and d + 1, stably sorted by each
-    triangle's lowest z, and gathers its box columns, strip columns and
-    ownership flags once in that order.  Sorted triangle i pairs with the
-    contiguous run j > i whose lowest z is at most its own highest z plus
-    the margin; since the sort orders the lowest z, that run holds every
-    later triangle whose z-interval touches its own.  The sweep thus
-    proves z-overlap for every pair it emits: lo_z[i] <= lo_z[j] <=
-    hi_z[i] + margin, and lo_z[i] <= lo_z[j] <= hi_z[j] gives the other
-    half, lo_z[i] <= hi_z[j] + margin, so the box test compares x and y
-    only.  Window d owns the pairs with a member in sector d; a pair
-    inside sector d + 1 belongs to window d + 1.  Ownership, circular
-    strip distance > 1 and the x/y box overlap form one mask over
-    window-local positions, which compresses the pairs once.
+    The broad phase is a sort-and-sweep on z (Baraff 1992) that builds
+    each candidate pair once, with no loop over sectors.  A triangle's
+    rank is its place in one argsort of the lowest z (ties in any order),
+    and its reach is the number of triangles whose lowest z is at most its
+    highest z plus the margin (one searchsorted).  For rank[t] < rank[u]
+    the z-ranges touch exactly when the integer test rank[u] < reach[t]
+    holds: lo_z[u] <= hi_z[t] + margin is that test, and lo_z[t] <=
+    lo_z[u] <= hi_z[u] gives the other half.  So each pair is found from
+    its member t of lower rank, as one of three runs of u: in t's sector,
+    in the next sector and in the previous one (circularly), each with
+    rank[t] < rank[u] < reach[t].  The triangles are sorted once by the
+    key sector*F + rank (_sweep_order), so each run is contiguous in that
+    order and its ends are searchsorted bounds on the key.  The runs of
+    _SWEEP_CHUNK sorted triangles are found at a time, searching only the
+    keys of the chunk's sectors and their neighbours, and expanded; then
+    circular strip distance > 1 and the x/y box overlap compress the
+    expanded pairs once.
 
-    The narrow phase runs inside the window loop.  Box survivors wait in
-    a pending list; once it holds at least _CROSSING_BATCH pairs, the
-    crossing test gathers their corners and runs on them, and the list is
-    cleared; the rest is tested after the last window.  The cost is
+    The narrow phase (_crossing_points) runs as the chunks go by.  Box
+    survivors wait in a pending list; once it holds at least
+    _CROSSING_BATCH pairs, or after the last chunk, they are crossed
+    _CROSSING_BATCH pairs at a time and the list is cleared.  The cost is
     O(F log F + pairs overlapping in z).  Memory holds the per-triangle
-    columns (boxes, strip columns, sector order), one window's
-    z-overlapping pairs, one crossing batch (fewer than _CROSSING_BATCH
-    pairs plus one window's survivors) and the hit rows; no array spans
-    every box survivor.
+    columns of _sweep_order, one chunk's runs and expanded pairs, the
+    pending list (fewer than _CROSSING_BATCH pairs plus one chunk's
+    survivors), one crossing batch and the hit rows; no array spans every
+    box survivor.
 
     For p = 1 the strip has length theta_steps, so a triangle's sector is
     its column, and a pair in the same or adjacent sectors is at circular
@@ -574,45 +618,40 @@ def self_intersection_points(mesh: ImmersedMobiusMesh, s: SweepParams) -> np.nda
     if s.p == 1:
         return np.empty((0, 3))
     n_theta, length = s.theta_steps, s.p * s.theta_steps
-    cols = _strip_columns(mesh.triangles, s)
-    sector = cols % n_theta
-    by_sector = np.argsort(sector, kind="stable")
-    bounds = np.searchsorted(sector[by_sector], np.arange(n_theta + 1))
-    box = _triangle_boxes(mesh)
+    count = len(mesh.triangles)
+    order, key, reach, cols, (lo_x, lo_y, hi_x, hi_y) = _sweep_order(mesh, s)
 
     found = [np.empty((0, 3))]
     pending, pending_count = [], 0
-    for d in range(n_theta):
-        own = by_sector[bounds[d]:bounds[d + 1]]
-        if not len(own):
-            continue
-        e = (d + 1) % n_theta
-        nxt = by_sector[bounds[e]:bounds[e + 1]] if e != d else own[:0]
-        window = np.concatenate([own, nxt])
-        order = np.argsort(box[2, window], kind="stable")
-        window = window[order]
-        owned = order < len(own)
-        lo_x, lo_y, lo_z, hi_x, hi_y, hi_z = box[:, window]
-        col = cols[window]
-        # Sorted triangle i pairs with i + 1, ..., end[i] - 1.
-        end = np.searchsorted(lo_z, hi_z, side="right")
-        run = end - np.arange(1, len(window) + 1)
-        i = np.repeat(np.arange(len(window)), run)
-        j = np.arange(len(i)) - np.repeat(np.cumsum(run) - end, run)
-        raw = np.abs(col[i] - col[j])
-        keep = owned[i] | owned[j]
-        keep &= np.minimum(raw, length - raw) > 1
+    for start in range(0, count, _SWEEP_CHUNK):
+        stop = min(start + _SWEEP_CHUNK, count)
+        t = np.arange(start, stop)
+        sector, rank = np.divmod(key[t], count)
+        # The key of rank 0 in t's sector, the next and the previous.
+        base = count * np.stack([sector, (sector + 1) % n_theta,
+                                 (sector - 1) % n_theta])
+        # Every run lies in the keys of these sectors: search only those.
+        lo, hi = np.searchsorted(key, [base.min(), base.max() + count])
+        first = np.searchsorted(key[lo:hi], base + (rank + 1)).ravel()
+        size = np.searchsorted(key[lo:hi], base + reach[t]).ravel() - first
+        first += lo
+        ends = np.cumsum(size)
+        # Pair k joins sorted triangles i[k] and j[k].
+        i = np.repeat(np.tile(t, 3), size)
+        j = np.arange(ends[-1]) + np.repeat(first + size - ends, size)
+        raw = np.abs(cols[i] - cols[j])
+        keep = np.minimum(raw, length - raw) > 1
         keep &= lo_x[i] <= hi_x[j]
         keep &= lo_x[j] <= hi_x[i]
         keep &= lo_y[i] <= hi_y[j]
         keep &= lo_y[j] <= hi_y[i]
-        pending.append(np.stack([window[i[keep]], window[j[keep]]], axis=1))
+        pending.append(np.stack([order[i[keep]], order[j[keep]]], axis=1))
         pending_count += len(pending[-1])
-        if pending_count >= _CROSSING_BATCH:
-            found += _crossing_points(mesh, np.concatenate(pending))
+        if pending_count >= _CROSSING_BATCH or stop == count:
+            pairs = np.concatenate(pending)
+            for k in range(0, len(pairs), _CROSSING_BATCH):
+                found += _crossing_points(mesh, pairs[k:k + _CROSSING_BATCH])
             pending, pending_count = [], 0
-    if pending_count:
-        found += _crossing_points(mesh, np.concatenate(pending))
     return np.concatenate(found)
 
 

@@ -177,9 +177,12 @@ def _orbit_size(start: int, step, universe_size: int) -> int:
 def transitive_strand_counts(n_max: int) -> set[int]:
     """All n in 1..n_max where <j -> n+1-j> acts transitively on {1..n}.
 
-    A connected curve lifting to n strands forces this transitivity, and the
-    orbit computation shows it holds only for n = 1 and n = 2: those are the
-    core and the boundary-parallel curve of the Moebius band.
+    A connected curve lifting to n strands forces this transitivity.  The
+    map j -> n+1-j is an involution, so the group it generates has order
+    at most 2 and every orbit has at most 2 elements: the action can be
+    transitive only for n <= 2, and it is for n = 1 and n = 2, the core
+    and the boundary-parallel curve of the Moebius band.  The orbit search
+    below checks this for each n rather than assuming it.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")

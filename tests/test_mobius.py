@@ -119,9 +119,9 @@ def oracle_offcore_points(mesh, params):
 
 def all_pairs_scan_rows(mesh, params):
     """Every strip-far triangle pair whose margin-expanded boxes touch on
-    all three axes, crossed by the library's narrow phase with each
-    triangle's edges probing the other: the rows the scan must return,
-    each pair exactly once, whatever the broad phase prunes."""
+    all three axes, crossed by the library's narrow phase in one call: the
+    rows the scan must return, each pair exactly once, whatever the broad
+    phase prunes or however it batches."""
     margin = 1e-12
     coords = mesh.vertices[mesh.triangles]
     lo, hi = coords.min(axis=1), coords.max(axis=1)
@@ -130,15 +130,10 @@ def all_pairs_scan_rows(mesh, params):
     raw = np.abs(cols[ia] - cols[ib])
     far = np.minimum(raw, params.p * params.theta_steps - raw) > 1
     touch = np.all((lo[ia] <= hi[ib] + margin) & (lo[ib] <= hi[ia] + margin), axis=1)
-    ia, ib = ia[far & touch], ib[far & touch]
-    rows = [np.empty((0, 3))]
-    for probe, target in ((coords[ia], coords[ib]), (coords[ib], coords[ia])):
-        for e0, e1 in ((0, 1), (1, 2), (2, 0)):
-            mask, pts = mobius._segment_triangle_points(
-                probe[:, e0], probe[:, e1], target
-            )
-            rows.append(pts[mask])
-    return np.concatenate(rows)
+    pairs = np.stack([ia[far & touch], ib[far & touch]], axis=1)
+    return np.concatenate(
+        [np.empty((0, 3))] + mobius._crossing_points(mesh, pairs)
+    )
 
 
 def sorted_row_bytes(rows):
@@ -702,6 +697,34 @@ class TestVerification:
         slow = all_pairs_scan_rows(mesh, params)
         assert sorted_row_bytes(fast) == sorted_row_bytes(slow)
 
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_scan_rows_do_not_depend_on_sweep_chunks(self, chunk, data):
+        # A chunk of 1 finds each triangle's three runs alone; 7 splits
+        # sectors, and the last chunk is short.
+        mesh, params = draw_small_sweep(data)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mobius, "_SWEEP_CHUNK", chunk)
+            fast = mobius.self_intersection_points(mesh, params)
+        slow = all_pairs_scan_rows(mesh, params)
+        assert sorted_row_bytes(fast) == sorted_row_bytes(slow)
+
+    @pytest.mark.parametrize(
+        "p, q, theta, chord",
+        [(2, 1, 8, 2), (2, -1, 8, 2), (2, 1, 8, 3), (3, -1, 12, 3), (3, 1, 12, 4)],
+    )
+    def test_scan_runs_cross_the_sector_wraparound(self, p, q, theta, chord):
+        # With few slices every chord spans the wrap from sector
+        # theta_steps - 1 to 0, so the previous-sector and next-sector runs
+        # wrap too; odd chord_steps put a sample on the core, where lowest
+        # z ties exactly; both signs of q.
+        mesh, params = small_mesh(p, q, theta=theta, chord=chord)
+        fast = mobius.self_intersection_points(mesh, params)
+        slow = all_pairs_scan_rows(mesh, params)
+        assert len(slow) > 0
+        assert sorted_row_bytes(fast) == sorted_row_bytes(slow)
+
     @pytest.mark.parametrize("side", [1.0, -1.0])
     @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_scan_keeps_pair_touching_only_within_margin(self, axis, side):
@@ -710,7 +733,8 @@ class TestVerification:
         # tolerance still finds the point, so the boxes must touch through
         # the margin on that axis alone.  On the other two they overlap.
         # With p = 2 and theta_steps = 8 the first vertices 0 and 2 sit in
-        # sector 0 at strip columns 0 and 8: same sector, strip-far.
+        # sector 0 at strip columns 0 and 8: strip-far, and the pair comes
+        # from the lower-z triangle's same-sector run.
         params = SweepParams(p=2, q=3, theta_steps=8, chord_steps=2)
         vertices = np.array([
             [0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [5e-13, 0.2, 0.2],
@@ -730,8 +754,9 @@ class TestVerification:
         assert sorted_row_bytes(fast) == sorted_row_bytes(slow)
 
     def test_scan_memory_is_bounded_by_one_sector(self):
-        # 19,200 triangles, 150 per sector: every same- and adjacent-sector
-        # pair at once would take about 200 MB.
+        # 19,200 triangles, 150 per sector: every z-overlapping pair of
+        # the same or adjacent sectors at once would take about 200 MB; the
+        # scan expands the runs of one chunk of triangles at a time.
         mesh, params = small_mesh(3, 5, theta=128, chord=26)
         tracemalloc.start()
         try:
