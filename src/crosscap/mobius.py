@@ -467,7 +467,7 @@ def _strip_columns(triangles: np.ndarray, s: SweepParams) -> np.ndarray:
     return ((chord * q_inv) % s.p * s.theta_steps + slice_index).astype(np.int32)
 
 
-_SWEEP_CHUNK = 1024  # sorted triangles whose partner runs are expanded at once
+_SWEEP_CHUNK = 1024  # sorted blocks whose partner runs are expanded at once
 _CROSSING_BATCH = 8192  # box-survivor pairs gathered before a crossing test
 
 
@@ -552,21 +552,42 @@ def _crossing_points(mesh: ImmersedMobiusMesh, pairs: np.ndarray) -> list[np.nda
 
 
 def _sweep_order(mesh: ImmersedMobiusMesh, s: SweepParams) -> tuple:
-    """The triangles sorted by the key sector*F + rank, where rank is a
-    triangle's place in an argsort of the lowest z.  Returns the order
-    and, in that order, the keys, each triangle's reach (how many
-    triangles have a lowest z at most its highest z plus the margin), the
-    strip columns and the lowest x, y and highest x, y."""
-    count = len(mesh.triangles)
+    """The blocks of the sweep, sorted by the key sector*B + rank.
+
+    A block is one triangle or two: triangle 2k+1 joins triangle 2k when
+    their strip columns are equal, and every other triangle is a block of
+    its own.  build_mobius writes the two triangles of a quad one after
+    the other, both starting at the quad's first vertex, so its B blocks
+    are its F/2 quads; any other triangle order gives singleton blocks
+    where columns differ.  A block has one strip column, so its sector
+    and its strip distance to another block are exactly its triangles'.
+    Its box is the elementwise min and max of its triangles'
+    _triangle_boxes columns, so it holds both boxes, margin included.  A
+    block's rank is its place in an argsort of the blocks' lowest z.
+
+    Returns, in key order, each block's two triangle ids as a (2, B)
+    int32 array (a singleton repeats its one), the keys, each block's
+    reach (how many blocks have a lowest z at most its highest z plus the
+    margin), the strip columns and the lowest x, y and highest x, y; then
+    the triangle boxes, which split block pairs into triangle pairs."""
     box = _triangle_boxes(mesh)
-    by_z = np.argsort(box[2])
-    reach = np.searchsorted(box[2, by_z], box[5, by_z], side="right")
     cols = _strip_columns(mesh.triangles, s)
-    key = (cols[by_z] % s.theta_steps).astype(np.int64) * count + np.arange(count)
+    count = len(cols)
+    joins = np.zeros(count + 1, dtype=bool)
+    joins[1:count:2] = cols[1::2] == cols[:count - 1:2]
+    first = np.flatnonzero(~joins[:count]).astype(np.int32)
+    pair = np.stack([first, first + joins[first + 1]])
+    block = np.concatenate([np.minimum(box[:3, pair[0]], box[:3, pair[1]]),
+                            np.maximum(box[3:, pair[0]], box[3:, pair[1]])])
+    blocks = len(first)
+    by_z = np.argsort(block[2])
+    reach = np.searchsorted(block[2, by_z], block[5, by_z], side="right")
+    cols = cols[first]
+    key = (cols[by_z] % s.theta_steps).astype(np.int64) * blocks + np.arange(blocks)
     order = np.argsort(key)  # the keys are distinct, so any sort gives this
     key, reach, order = key[order], reach[order], by_z[order]
-    xy_box = [box[row].take(order) for row in (0, 1, 3, 4)]
-    return order, key, reach, cols[order], xy_box
+    xy_box = [block[row].take(order) for row in (0, 1, 3, 4)]
+    return pair[:, order], key, reach, cols[order], xy_box, box
 
 
 def self_intersection_points(mesh: ImmersedMobiusMesh, s: SweepParams) -> np.ndarray:
@@ -576,39 +597,57 @@ def self_intersection_points(mesh: ImmersedMobiusMesh, s: SweepParams) -> np.nda
     Each triangle occupies the angular wedge of its strip column, so only
     same-sector or adjacent-sector pairs can meet in space; domain-adjacent
     pairs (circular strip distance <= 1) share mesh edges by construction
-    and are excluded.
+    and are excluded.  Each triangle's bounding box is computed once
+    (_triangle_boxes), so two boxes touch on an axis when each one's low
+    row is at most the other's high row, which carries the 1e-12 margin.
+    A pair is crossed when it is strip-far, its sectors are equal or
+    adjacent, and its boxes touch on all three axes.
 
-    Each triangle's bounding box is computed once (_triangle_boxes), so
-    two boxes touch on an axis when each one's low row is at most the
-    other's high row, which carries the 1e-12 margin.
+    The broad phase sweeps blocks, then splits the block pairs it keeps.
+    A block is a quad of build_mobius, its two triangles, or a lone
+    triangle of any other mesh (_sweep_order); it has one strip column
+    and a box that holds its triangles' boxes.  So a triangle pair passes
+    the tests above only if its blocks pass the same tests on sector,
+    strip distance and block boxes: the block sweep is a necessary
+    condition, and the split then applies the triangle test itself.  The
+    pairs crossed are exactly the pairs that pass, each once, only in
+    another order.
 
-    The broad phase is a sort-and-sweep on z (Baraff 1992) that builds
-    each candidate pair once, with no loop over sectors.  A triangle's
+    The block sweep is a sort-and-sweep on z (Baraff 1992) that builds
+    each candidate block pair once, with no loop over sectors.  A block's
     rank is its place in one argsort of the lowest z (ties in any order),
-    and its reach is the number of triangles whose lowest z is at most its
+    and its reach is the number of blocks whose lowest z is at most its
     highest z plus the margin (one searchsorted).  For rank[t] < rank[u]
     the z-ranges touch exactly when the integer test rank[u] < reach[t]
     holds: lo_z[u] <= hi_z[t] + margin is that test, and lo_z[t] <=
     lo_z[u] <= hi_z[u] gives the other half.  So each pair is found from
     its member t of lower rank, as one of three runs of u: in t's sector,
     in the next sector and in the previous one (circularly), each with
-    rank[t] < rank[u] < reach[t].  The triangles are sorted once by the
-    key sector*F + rank (_sweep_order), so each run is contiguous in that
-    order and its ends are searchsorted bounds on the key.  The runs of
-    _SWEEP_CHUNK sorted triangles are found at a time, searching only the
-    keys of the chunk's sectors and their neighbours, and expanded; then
-    circular strip distance > 1 and the x/y box overlap compress the
-    expanded pairs once.
+    rank[t] < rank[u] < reach[t].  The blocks are sorted once by the key
+    sector*B + rank, so each run is contiguous in that order and its ends
+    are searchsorted bounds on the key.  The runs of _SWEEP_CHUNK sorted
+    blocks are found at a time, searching only the keys of the chunk's
+    sectors and their neighbours, and expanded; then circular strip
+    distance > 1 and the x/y block box overlap compress the expanded
+    pairs once.  Each kept block pair gives its (first, first), (first,
+    second), (second, first) and (second, second) triangle pairs, less
+    the slots a singleton lacks, and keeps those whose triangle boxes
+    touch on all three axes.
 
-    The narrow phase (_crossing_points) runs as the chunks go by.  Box
-    survivors wait in a pending list; once it holds at least
-    _CROSSING_BATCH pairs, or after the last chunk, they are crossed
-    _CROSSING_BATCH pairs at a time and the list is cleared.  The cost is
-    O(F log F + pairs overlapping in z).  Memory holds the per-triangle
-    columns of _sweep_order, one chunk's runs and expanded pairs, the
-    pending list (fewer than _CROSSING_BATCH pairs plus one chunk's
-    survivors), one crossing batch and the hit rows; no array spans every
-    box survivor.
+    The narrow phase (_crossing_points) runs as the chunks go by: the
+    broad phase is a generator (_candidate_pairs).  Triangle pairs wait
+    in a pending list; once it holds at least _CROSSING_BATCH pairs, or
+    after the last chunk, they are crossed _CROSSING_BATCH pairs at a
+    time and the list is cleared.  The cost is O(F log F + block pairs
+    overlapping in z): on build_mobius meshes a quad pair stands for four
+    triangle pairs, so the sweep builds about a quarter of the pairs that
+    a sweep over triangles would.  Memory holds the triangle boxes, the
+    per-block columns of _sweep_order, one chunk's runs, expanded block
+    pairs and split triangle pairs, the pending list (fewer than
+    _CROSSING_BATCH pairs plus one chunk's split survivors), one crossing
+    batch and the hit rows; no array spans every box survivor.  The
+    sweep's arrays go with the spent generator, before the hit rows are
+    joined into one array.
 
     For p = 1 the strip has length theta_steps, so a triangle's sector is
     its column, and a pair in the same or adjacent sectors is at circular
@@ -617,11 +656,18 @@ def self_intersection_points(mesh: ImmersedMobiusMesh, s: SweepParams) -> np.nda
     """
     if s.p == 1:
         return np.empty((0, 3))
-    n_theta, length = s.theta_steps, s.p * s.theta_steps
-    count = len(mesh.triangles)
-    order, key, reach, cols, (lo_x, lo_y, hi_x, hi_y) = _sweep_order(mesh, s)
-
     found = [np.empty((0, 3))]
+    for pairs in _candidate_pairs(mesh, s):
+        found += _crossing_points(mesh, pairs)
+    return np.concatenate(found)
+
+
+def _candidate_pairs(mesh: ImmersedMobiusMesh, s: SweepParams):
+    """The broad phase of self_intersection_points: yields the triangle
+    pairs to cross, as (n, 2) arrays of at most _CROSSING_BATCH pairs."""
+    n_theta, length = s.theta_steps, s.p * s.theta_steps
+    pair, key, reach, cols, (lo_x, lo_y, hi_x, hi_y), box = _sweep_order(mesh, s)
+    count = len(key)
     pending, pending_count = [], 0
     for start in range(0, count, _SWEEP_CHUNK):
         stop = min(start + _SWEEP_CHUNK, count)
@@ -632,11 +678,16 @@ def self_intersection_points(mesh: ImmersedMobiusMesh, s: SweepParams) -> np.nda
                                  (sector - 1) % n_theta])
         # Every run lies in the keys of these sectors: search only those.
         lo, hi = np.searchsorted(key, [base.min(), base.max() + count])
-        first = np.searchsorted(key[lo:hi], base + (rank + 1)).ravel()
-        size = np.searchsorted(key[lo:hi], base + reach[t]).ravel() - first
-        first += lo
+        # The keys are distinct sorted integers, so the first key above
+        # key[t] = base[0] + rank is key[t + 1]: t's same-sector run starts
+        # at t + 1 without a search.
+        first = np.empty_like(base)
+        first[0] = t + 1
+        first[1:] = np.searchsorted(key[lo:hi], base[1:] + (rank + 1)) + lo
+        size = (np.searchsorted(key[lo:hi], base + reach[t]) + lo - first).ravel()
+        first = first.ravel()
         ends = np.cumsum(size)
-        # Pair k joins sorted triangles i[k] and j[k].
+        # Block pair k joins sorted blocks i[k] and j[k].
         i = np.repeat(np.tile(t, 3), size)
         j = np.arange(ends[-1]) + np.repeat(first + size - ends, size)
         raw = np.abs(cols[i] - cols[j])
@@ -645,14 +696,23 @@ def self_intersection_points(mesh: ImmersedMobiusMesh, s: SweepParams) -> np.nda
         keep &= lo_x[j] <= hi_x[i]
         keep &= lo_y[i] <= hi_y[j]
         keep &= lo_y[j] <= hi_y[i]
-        pending.append(np.stack([order[i[keep]], order[j[keep]]], axis=1))
+        # Rows of a and b: the (first, first), (first, second),
+        # (second, first) and (second, second) triangle pairs.
+        a = pair[:, i[keep]][[0, 0, 1, 1]]
+        b = pair[:, j[keep]][[0, 1, 0, 1]]
+        touch = np.ones(a.shape, dtype=bool)
+        touch[2:] = a[2:] != a[:2]  # a singleton has no second triangle
+        touch[1::2] &= b[1::2] != b[::2]
+        for k in range(3):
+            touch &= box[k].take(a) <= box[k + 3].take(b)
+            touch &= box[k].take(b) <= box[k + 3].take(a)
+        pending.append(np.stack([a[touch], b[touch]], axis=1))
         pending_count += len(pending[-1])
         if pending_count >= _CROSSING_BATCH or stop == count:
             pairs = np.concatenate(pending)
             for k in range(0, len(pairs), _CROSSING_BATCH):
-                found += _crossing_points(mesh, pairs[k:k + _CROSSING_BATCH])
+                yield pairs[k:k + _CROSSING_BATCH]
             pending, pending_count = [], 0
-    return np.concatenate(found)
 
 
 def distance_to_core_circle(points: np.ndarray) -> np.ndarray:

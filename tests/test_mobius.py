@@ -701,7 +701,7 @@ class TestVerification:
     @settings(max_examples=10, deadline=None)
     @given(data=st.data())
     def test_scan_rows_do_not_depend_on_sweep_chunks(self, chunk, data):
-        # A chunk of 1 finds each triangle's three runs alone; 7 splits
+        # A chunk of 1 finds each block's three runs alone; 7 splits
         # sectors, and the last chunk is short.
         mesh, params = draw_small_sweep(data)
         with pytest.MonkeyPatch.context() as patch:
@@ -709,6 +709,49 @@ class TestVerification:
             fast = mobius.self_intersection_points(mesh, params)
         slow = all_pairs_scan_rows(mesh, params)
         assert sorted_row_bytes(fast) == sorted_row_bytes(slow)
+
+    @pytest.mark.parametrize("chunk", [mobius._SWEEP_CHUNK, 1])
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_scan_rows_do_not_depend_on_quad_blocks(self, chunk, data):
+        # Rolled by one, triangle 2k+1 is the first triangle of a quad and
+        # 2k the second of the one before: a block that straddles two
+        # quads where their columns are equal, two lone triangles where
+        # they differ.  With one triangle dropped, the blocks after it
+        # straddle quads and the last triangle is alone.
+        mesh, params = draw_small_sweep(data)
+        triangles = mesh.triangles
+        if data.draw(st.booleans(), label="roll"):
+            triangles = np.roll(triangles, 1, axis=0)
+        else:
+            drop = data.draw(st.integers(0, len(triangles) - 1), label="drop")
+            triangles = np.delete(triangles, drop, axis=0)
+        mesh = with_triangles(mesh, triangles)
+        pair = mobius._sweep_order(mesh, params)[0]
+        assert (pair[0] == pair[1]).any()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mobius, "_SWEEP_CHUNK", chunk)
+            fast = mobius.self_intersection_points(mesh, params)
+        slow = all_pairs_scan_rows(mesh, params)
+        assert sorted_row_bytes(fast) == sorted_row_bytes(slow)
+
+    @pytest.mark.parametrize("cut", [False, True])
+    @pytest.mark.parametrize(
+        "p, q, chord", [(2, 3, 2), (2, -3, 3), (3, 5, 4), (3, -5, 5), (5, -9, 16)]
+    )
+    def test_sweep_blocks_are_the_quads(self, p, q, chord, cut):
+        # Lone-triangle blocks would keep the rows right and lose the
+        # speed, so no rows test sees them: every build_mobius block must
+        # be the two triangles of one quad, which start at one vertex.
+        mesh, params = small_mesh(p, q, chord=chord)
+        if cut:
+            mesh = cut_open(mesh, params)
+        pair = mobius._sweep_order(mesh, params)[0]
+        assert pair.shape == (2, len(mesh.triangles) // 2)
+        assert np.array_equal(np.sort(pair[0]), np.arange(0, len(mesh.triangles), 2))
+        assert np.array_equal(pair[1], pair[0] + 1)
+        starts = mesh.triangles[:, 0]
+        assert np.array_equal(starts[pair[0]], starts[pair[1]])
 
     @pytest.mark.parametrize(
         "p, q, theta, chord",
@@ -754,9 +797,10 @@ class TestVerification:
         assert sorted_row_bytes(fast) == sorted_row_bytes(slow)
 
     def test_scan_memory_is_bounded_by_one_sector(self):
-        # 19,200 triangles, 150 per sector: every z-overlapping pair of
-        # the same or adjacent sectors at once would take about 200 MB; the
-        # scan expands the runs of one chunk of triangles at a time.
+        # 19,200 triangles, 150 per sector, swept as 9,600 quad blocks:
+        # every z-overlapping triangle pair of the same or adjacent sectors
+        # at once would take about 200 MB; the scan expands the runs of one
+        # chunk of blocks at a time and splits only the pairs it keeps.
         mesh, params = small_mesh(3, 5, theta=128, chord=26)
         tracemalloc.start()
         try:
