@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Callable
 
+import numpy as np
+
 from . import homology, invariants, knots, mobius, words
 
 
@@ -192,47 +194,48 @@ def _mesh_refinement_stability() -> None:
 # --- group words ------------------------------------------------------------
 
 
-def _parity_invariance(seed: int) -> None:
-    rng = random.Random(seed)
-    pool = [words.random_word(rng) for _ in range(200)]
-    odd = (-9, -7, -5, -3, -1, 1, 3, 5, 7, 9)
-    pairs = [
-        (p, q) for p in odd for q in odd if gcd(abs(p), abs(q)) == 1
-    ]
-    for p, q in pairs:
-        for round_index in range(1000):
-            w = pool[rng.randrange(len(pool))]
-            parity = words.algebraic_length_parity(w)
-            pos = rng.randrange(len(w.letters) + 1)
-            direction = "forward" if rng.getrandbits(1) else "backward"
-            w2 = words.insert_relator(w, pos, p, q, direction)
-            assert words.algebraic_length_parity(w2) == parity, (
-                f"insertion of ({p},{q}) changed parity"
+def _first_miss(ok, p, q, claim: str) -> None:
+    misses = np.flatnonzero(~ok)
+    if len(misses):
+        i = misses[0]
+        raise AssertionError(f"{claim} fails at (p, q) = ({p[i]}, {q[i]})")
+
+
+def _z2_homomorphisms() -> None:
+    """Hom(<x, y | x^p = y^q>, Z/2) on every coprime (p, q) with
+    1 <= |p|, |q| <= 200, with the relator written both ways, against the
+    obstruction."""
+    # Both signs of every magnitude, smallest first, so a failure names the
+    # smallest disagreeing pair.
+    grid = np.array([s * m for m in range(1, 201) for s in (1, -1)])
+    p, q = (axis.ravel() for axis in np.meshgrid(grid, grid, indexing="ij"))
+    coprime = np.gcd(p, q) == 1
+    p, q = p[coprime], q[coprime]
+    both_odd = (p % 2 == 1) & (q % 2 == 1)
+    # phi(w) depends only on w's exponent sums mod 2: four classes of w.
+    for phi in words.Z2_MAPS:
+        for u, v in words.Z2_MAPS:
+            assert words.z2_image(phi, 2 * u, 2 * v) == 0, (
+                f"{phi} sends the square of a word of class {(u, v)} to 1"
             )
-            if round_index % 20 == 0:
-                cancellable = words.cancellable_positions(w2)
-                if cancellable:
-                    w3 = words.cancel_pair(w2, rng.choice(cancellable))
-                    assert words.algebraic_length_parity(w3) == parity, (
-                        f"cancellation after ({p},{q}) changed parity"
-                    )
-
-
-def _even_relator_witness() -> None:
-    for p, q in ((4, 3), (3, 4), (2, 5), (9, 8)):
-        w = words.parse_word("x y x")
-        w2 = words.insert_relator(w, 1, p, q)
-        assert (
-            words.algebraic_length_parity(w2)
-            != words.algebraic_length_parity(w)
-        ), f"odd-length relator ({p},{q}) should flip parity"
-
-
-def _squares_are_even(seed: int) -> None:
-    rng = random.Random(seed)
-    for _ in range(1000):
-        w = words.random_word(rng)
-        assert words.algebraic_length_parity(w * w) == 0, f"square of {w}"
+    for relator, (x_sum, y_sum) in (("x^p y^-q", (p, -q)), ("y^q x^-p", (-p, q))):
+        kept = {phi: words.z2_image(phi, x_sum, y_sum) == 0 for phi in words.Z2_MAPS}
+        _first_miss(kept[(0, 0)], p, q, f"the trivial map kills {relator}")
+        _first_miss(kept[words.LENGTH_PARITY] == ((p + q) % 2 == 0), p, q,
+                    f"length parity kills {relator} iff p + q is even")
+        sends_x_p_to_1 = np.zeros_like(both_odd)
+        for phi, k in kept.items():
+            sends_x_p_to_1 |= k & (words.z2_image(phi, p, 0) == 1)
+        _first_miss(sends_x_p_to_1 == both_odd, p, q,
+                    f"some phi killing {relator} sends x^p to 1 iff p, q are odd")
+    big = (np.abs(p) >= 2) & (np.abs(q) >= 2)
+    p, q, both_odd = p[big], q[big], both_odd[big]
+    obstructed = np.fromiter(
+        map(words.square_conjugate_obstruction, p.tolist(), q.tolist()),
+        bool, count=len(p),
+    )
+    _first_miss(obstructed == both_odd, p, q,
+                "square_conjugate_obstruction iff p, q are odd")
 
 
 def _strand_counts() -> None:
@@ -311,10 +314,8 @@ def run_audit(seed: int = 0) -> list[CheckResult]:
         ("mobius: chord monodromy is one flipped cycle", _mesh_monodromy),
         ("mobius: refinement leaves integer report unchanged",
          _mesh_refinement_stability),
-        ("words: relator insertions and cancellations keep parity",
-         lambda: _parity_invariance(seed)),
-        ("words: odd-length relators flip parity", _even_relator_witness),
-        ("words: squares always have parity 0", lambda: _squares_are_even(seed)),
+        ("words: Hom(<x, y | x^p = y^q>, Z/2) for coprime |p|, |q| <= 200",
+         _z2_homomorphisms),
         ("words: transitive strand counts up to 10000", _strand_counts),
         ("homology: gap reports for n = 2..100", _gap_reports),
         ("homology: twist contradiction monotone", _twist_monotonicity),

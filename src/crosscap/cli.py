@@ -7,8 +7,10 @@ Exit codes: 0 success, 1 usage error, 2 validation or input error,
 Each command returns its JSON payload, its text lines and its exit code,
 and ``main`` prints the one that ``--format`` asks for.
 
-The numpy-backed modules ``mobius`` and ``audit`` are imported inside the
-commands that use them, so every other command starts without numpy.
+Each command imports the modules it runs inside its own body, so a command
+loads only those: ``classify`` loads ``knots`` and ``invariants``,
+``obstruction`` loads ``words``, and only the mesh commands and ``audit``
+load ``mobius`` and with it numpy.
 """
 
 from __future__ import annotations
@@ -16,15 +18,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from itertools import islice
-from pathlib import Path
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
-from . import homology, invariants, knots, words
-
 if TYPE_CHECKING:
-    from . import mobius
+    from . import invariants, mobius
 
 USAGE_EXIT = 1
 VALIDATION_EXIT = 2
@@ -53,6 +51,8 @@ def _value_line(label: str, value: invariants.InvariantValue) -> str:
 
 
 def _report_lines(report: invariants.InvariantReport) -> list[str]:
+    from . import knots
+
     prime = "unknown" if report.prime is None else ("yes" if report.prime else "no")
     return [
         f"knot: {knots.format_knot(report.knot)}",
@@ -67,11 +67,15 @@ def _report_lines(report: invariants.InvariantReport) -> list[str]:
 
 
 def _cmd_classify(args: argparse.Namespace) -> _Result:
+    from . import invariants, knots
+
     report = invariants.invariant_report(knots.parse_knot(args.knot))
     return report.to_dict(), _report_lines(report), 0
 
 
 def _cmd_gaps(args: argparse.Namespace) -> _Result:
+    from . import invariants
+
     # The table can run to 100,000 rows, so build only the output printed.
     rows = invariants.gap_table(args.k_max)
     if args.format == "json":
@@ -102,6 +106,8 @@ def _mesh_report_lines(report: mobius.MeshVerificationReport) -> list[str]:
 
 
 def _cmd_build_mobius(args: argparse.Namespace) -> _Result:
+    from pathlib import Path
+
     from . import mobius
 
     params = mobius.SweepParams(
@@ -125,6 +131,8 @@ def _cmd_build_mobius(args: argparse.Namespace) -> _Result:
 
 
 def _cmd_verify_mesh(args: argparse.Namespace) -> _Result:
+    from pathlib import Path
+
     from . import mobius
 
     text = Path(args.out).read_text()
@@ -136,35 +144,43 @@ def _cmd_verify_mesh(args: argparse.Namespace) -> _Result:
 
 
 def _cmd_obstruction(args: argparse.Namespace) -> _Result:
+    from . import words
+
     obstructed = words.square_conjugate_obstruction(args.p, args.q)
-    relator_len = abs(args.p) + abs(args.q)
+    group = f"<x, y | x^{args.p} = y^{args.q}>"
     if obstructed:
         reason = (
-            f"the relator has even length {relator_len}, so word-length parity "
-            "is a homomorphism to Z/2; squares have parity 0 while conjugates "
-            f"of x^{args.p} have parity 1, so no immersed Moebius band exists"
+            f"word-length parity (x, y -> 1) is a homomorphism from {group} "
+            f"onto Z/2; it sends every square to 0 and x^{args.p} to 1, so no "
+            f"square is conjugate to x^{args.p} and no immersed Moebius band exists"
         )
     else:
         reason = (
-            f"the relator has odd length {relator_len}, so word-length parity "
-            "is not invariant and the parity argument gives no obstruction"
+            f"every homomorphism from {group} to Z/2 sends x^{args.p} to 0, "
+            "so the Z/2 argument gives no obstruction"
         )
     verdict = f"obstruction for T({args.p},{args.q}): {'yes' if obstructed else 'no'}"
     return {"p": args.p, "q": args.q, "obstructed": obstructed}, [verdict, reason], 0
 
 
 def _cmd_homology(args: argparse.Namespace) -> _Result:
+    from . import homology
+
     payload = homology.embedded_component_bound(args.n).to_dict()
     return payload, [f"{name}: {value}" for name, value in payload.items()], 0
 
 
 def _cmd_twist(args: argparse.Namespace) -> _Result:
+    from . import homology
+
     p = homology.minimal_twist_contradiction(args.chi, args.n)
     line = f"minimal even twist count contradicting chi={args.chi} at n={args.n}: {p}"
     return {"chi": args.chi, "n": args.n, "minimal_even_twists": p}, [line], 0
 
 
 def _cmd_audit(args: argparse.Namespace) -> _Result:
+    from dataclasses import asdict
+
     from . import audit
 
     results = audit.run_audit(seed=args.seed)

@@ -54,8 +54,7 @@ def test_criterion_3_mesh_certification():
 
 def test_criterion_4_parity_obstruction():
     with _Criterion(4, "relator insertions never change parity", 2.0):
-        audit._parity_invariance(20260809)
-        audit._squares_are_even(20260809)
+        audit._z2_homomorphisms()
         assert words.square_conjugate_obstruction(3, 5) is True
         assert words.square_conjugate_obstruction(4, 3) is False
 

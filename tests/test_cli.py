@@ -374,6 +374,19 @@ class TestAudit:
         assert code == 3
         assert "FAIL forced failure" in out
 
+    def test_wrong_obstruction_rule_fails_the_z2_suite(self, capsys, monkeypatch):
+        from crosscap import words
+
+        # Wrong whenever p is odd and q even; (3, 2) is the first such pair.
+        monkeypatch.setattr(words, "square_conjugate_obstruction",
+                            lambda p, q: p % 2 == 1)
+        code, out, _ = run(capsys, "audit")
+        assert code == 3
+        failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert len(failed) == 1
+        assert failed[0].startswith("FAIL words: Hom(<x, y | x^p = y^q>, Z/2)")
+        assert failed[0].endswith("fails at (p, q) = (3, 2)")
+
     def test_audit_json_failure_exits_3(self, capsys, monkeypatch):
         from crosscap import audit
 

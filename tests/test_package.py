@@ -1,4 +1,4 @@
-"""Package surface: the lazily served mesh names, and which commands load numpy."""
+"""Package surface: the lazily served names, and what each command loads."""
 
 import json
 import os
@@ -12,54 +12,84 @@ import crosscap
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Runs in a fresh interpreter, so no other test has imported numpy yet.  Prints
-# one JSON list: the step, its exit code (None for an import) and whether
-# numpy was loaded after it.
+# Runs in a fresh interpreter on the JSON list of argv lists in sys.argv[1],
+# so no other test has imported numpy or a crosscap submodule yet.  Prints
+# one JSON list: per step, its name, its exit code (None for an import),
+# whether numpy was loaded after it and which crosscap submodules were.
 _PROBE = """
 import contextlib, io, json, sys, tempfile
 
 steps = []
+
+def record(name, code):
+    loaded = sorted(m for m in sys.modules if m.startswith("crosscap."))
+    steps.append([name, code, "numpy" in sys.modules, loaded])
+
 import crosscap
-steps.append(["import crosscap", None, "numpy" in sys.modules])
+record("import crosscap", None)
 from crosscap import cli
-steps.append(["import crosscap.cli", None, "numpy" in sys.modules])
+record("import crosscap.cli", None)
 
-def run(argv):
-    with contextlib.redirect_stdout(io.StringIO()), \\
-            contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(argv)
-    steps.append([" ".join(argv), code, "numpy" in sys.modules])
-
-run(["classify", "--knot", "cable(4,3; torus(2,3))"])
-run(["gaps", "--k-max", "6", "--format", "json"])
-run(["obstruction", "--p", "3", "--q", "5"])
-run(["homology", "--n", "4"])
-run(["twist", "--chi", "-4", "--n", "2"])
-run(["classify"])
 with tempfile.TemporaryDirectory() as tmp:
-    run(["build-mobius", "--p", "2", "--q", "3", "--theta-steps", "32",
-         "--chord-steps", "4", "--out", tmp + "/band.off"])
+    for argv in json.loads(sys.argv[1]):
+        argv = [arg.replace("{tmp}", tmp) for arg in argv]
+        with contextlib.redirect_stdout(io.StringIO()), \\
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        record(" ".join(argv), code)
 print(json.dumps(steps))
 """
 
 
-def test_only_mesh_commands_load_numpy():
+def _probe(*commands):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE],
+        [sys.executable, "-c", _PROBE, json.dumps(commands)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    steps = json.loads(proc.stdout)
-    *light, (build, build_code, build_numpy) = steps
-    assert [code for _, code, _ in light] == [None, None, 0, 0, 0, 0, 0, 1]
-    assert [name for name, _, numpy in light if numpy] == []
+    return json.loads(proc.stdout)
+
+
+def test_only_mesh_commands_load_numpy():
+    steps = _probe(
+        ["classify", "--knot", "cable(4,3; torus(2,3))"],
+        ["gaps", "--k-max", "6", "--format", "json"],
+        ["obstruction", "--p", "3", "--q", "5"],
+        ["homology", "--n", "4"],
+        ["twist", "--chi", "-4", "--n", "2"],
+        ["classify"],
+        ["build-mobius", "--p", "2", "--q", "3", "--theta-steps", "32",
+         "--chord-steps", "4", "--out", "{tmp}/band.off"],
+    )
+    *light, (build, build_code, build_numpy, _) = steps
+    assert [code for _, code, _, _ in light] == [None, None, 0, 0, 0, 0, 0, 1]
+    assert [name for name, _, numpy, _ in light if numpy] == []
     # The mesh command does load it, so the checks above cannot pass vacuously.
     assert build.startswith("build-mobius")
     assert (build_code, build_numpy) == (0, True)
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["classify", "--knot", "torus(4,3)"], ["invariants", "knots"]),
+    (["gaps", "--k-max", "4"], ["invariants", "knots"]),
+    (["obstruction", "--p", "3", "--q", "5"], ["words"]),
+    (["homology", "--n", "4"], ["homology"]),
+    (["twist", "--chi", "-4", "--n", "2"], ["homology"]),
+], ids=["classify", "gaps", "obstruction", "homology", "twist"])
+def test_each_command_loads_only_its_modules(argv, modules):
+    # A package or CLI that imports every submodule up front prints the same
+    # output; only this shows that a command loads just what it runs.
+    steps = _probe(argv)
+    assert [loaded for _, _, _, loaded in steps] == [
+        [],
+        ["crosscap.cli"],
+        sorted(["crosscap.cli", *(f"crosscap.{m}" for m in modules)]),
+    ]
+    assert steps[-1][1] == 0
 
 
 def test_every_public_name_resolves():

@@ -1,6 +1,5 @@
-"""Parity invariance under the relator rewriting, and strand orbits."""
+"""The Z/2 maps of the torus-knot group, the obstruction, and strand orbits."""
 
-import random
 from math import gcd
 
 import pytest
@@ -8,122 +7,43 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from crosscap import words
-from crosscap.words import GroupWord, parse_word
+from crosscap.words import LENGTH_PARITY, Z2_MAPS
 
-letters = st.tuples(st.sampled_from(("x", "y")), st.sampled_from((1, -1)))
-word_strategy = st.builds(GroupWord, st.tuples()) | st.builds(
-    lambda ls: GroupWord(tuple(ls)), st.lists(letters, max_size=60)
-)
+sums = st.integers(min_value=-10**6, max_value=10**6)
 
 
 class TestParity:
     def test_commutator_is_even(self):
-        assert words.algebraic_length_parity(parse_word("x y x^-1 y^-1")) == 0
+        # x y x^-1 y^-1 has exponent sums (0, 0) and length 4.
+        assert words.z2_image(LENGTH_PARITY, 0, 0) == 0
 
     def test_cube_is_odd(self):
-        assert words.algebraic_length_parity(parse_word("x^3")) == 1
+        assert words.z2_image(LENGTH_PARITY, 3, 0) == 1
 
     def test_empty_word(self):
-        assert words.algebraic_length_parity(GroupWord()) == 0
+        assert all(words.z2_image(phi, 0, 0) == 0 for phi in Z2_MAPS)
 
-    @given(w=word_strategy)
-    def test_squares_have_parity_zero(self, w):
-        assert words.algebraic_length_parity(w * w) == 0
-
-    @given(w=word_strategy)
-    def test_free_reduction_preserves_parity(self, w):
-        assert words.algebraic_length_parity(words.free_reduce(w)) == (
-            words.algebraic_length_parity(w)
-        )
+    @given(x_sum=sums, y_sum=sums)
+    def test_squares_have_parity_zero(self, x_sum, y_sum):
+        for phi in Z2_MAPS:
+            assert words.z2_image(phi, 2 * x_sum, 2 * y_sum) == 0
 
 
-class TestParseWord:
-    def test_expansion(self):
-        assert parse_word("x y^-1 x^3").letters == (
-            ("x", 1), ("y", -1), ("x", 1), ("x", 1), ("x", 1)
-        )
-
-    def test_zero_power_vanishes(self):
-        assert parse_word("x^0 y").letters == (("y", 1),)
-
-    def test_bad_generator(self):
-        with pytest.raises(ValueError):
-            parse_word("z^2")
-
-
-class TestInsertRelator:
-    def test_forward_into_empty(self):
-        w = words.insert_relator(GroupWord(), 0, 3, 5)
-        assert w.letters == parse_word("x^3 y^-5").letters
-        assert words.algebraic_length_parity(w) == 0
-
-    def test_insert_preserves_parity_marker(self):
-        base = parse_word("x")
-        w = words.insert_relator(base, 1, 3, 3)
-        assert len(w) == 7
-        assert words.algebraic_length_parity(w) == 1
-
-    def test_backward_direction(self):
-        w = words.insert_relator(GroupWord(), 0, 3, 5, "backward")
-        assert w.letters == parse_word("y^5 x^-3").letters
-
-    def test_position_out_of_range(self):
-        with pytest.raises(ValueError):
-            words.insert_relator(parse_word("x y"), 5, 3, 5)
-
-    @given(
-        w=word_strategy,
-        p=st.sampled_from((-9, -7, -5, -3, -1, 1, 3, 5, 7, 9)),
-        q=st.sampled_from((-9, -7, -5, -3, -1, 1, 3, 5, 7, 9)),
-        direction=st.sampled_from(("forward", "backward")),
-        data=st.data(),
-    )
-    def test_odd_relators_preserve_parity(self, w, p, q, direction, data):
-        if gcd(abs(p), abs(q)) != 1:
-            return
-        position = data.draw(st.integers(min_value=0, max_value=len(w)))
-        spliced = words.insert_relator(w, position, p, q, direction)
-        assert words.algebraic_length_parity(spliced) == (
-            words.algebraic_length_parity(w)
-        )
-
-    def test_even_relator_changes_parity(self):
-        # With an even parameter the relator length p+q is odd, so splicing
-        # it in is a parity-changing rewrite: no obstruction can exist.
-        for p, q in ((4, 3), (3, 4), (2, 9), (8, 5)):
-            w = parse_word("y x y")
-            spliced = words.insert_relator(w, 2, p, q)
-            assert words.algebraic_length_parity(spliced) == 0
-
-    def test_seeded_randomized_invariance(self):
-        rng = random.Random(1234)
-        for p, q in ((3, 5), (3, 7), (5, 7), (5, 9), (7, 9), (-3, 5), (3, -5)):
-            for _ in range(200):
-                w = words.random_word(rng)
-                parity = words.algebraic_length_parity(w)
-                pos = rng.randrange(len(w) + 1)
-                w2 = words.insert_relator(w, pos, p, q, rng.choice(("forward", "backward")))
-                assert words.algebraic_length_parity(w2) == parity
-                spots = words.cancellable_positions(w2)
-                if spots:
-                    w3 = words.cancel_pair(w2, rng.choice(spots))
-                    assert words.algebraic_length_parity(w3) == parity
-
-
-class TestCancellation:
-    def test_cancel_pair(self):
-        w = parse_word("x y y^-1 x")
-        assert words.cancellable_positions(w) == [1]
-        assert words.cancel_pair(w, 1).letters == (("x", 1), ("x", 1))
-
-    def test_cancel_rejects_noninverse(self):
-        with pytest.raises(ValueError):
-            words.cancel_pair(parse_word("x y"), 0)
-
-    def test_free_reduce(self):
-        assert words.free_reduce(parse_word("x y y^-1 x^-1 x x")).letters == (
-            ("x", 1), ("x", 1)
-        )
+class TestHomomorphisms:
+    def test_against_letter_count(self):
+        # Independent oracle: spell the relator x^p y^-q out letter by letter
+        # and count the letters each map sends to 1.
+        for p in range(-12, 13):
+            for q in range(-12, 13):
+                if gcd(p, q) != 1:
+                    continue
+                letters = ["x"] * abs(p) + ["y"] * abs(q)
+                expected = [
+                    (a, b) for a, b in Z2_MAPS
+                    if sum(a if g == "x" else b for g in letters) % 2 == 0
+                ]
+                assert words.z2_homomorphisms(p, -q) == expected
+                assert words.z2_homomorphisms(-p, q) == expected
 
 
 class TestObstruction:
