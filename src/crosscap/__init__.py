@@ -69,6 +69,9 @@ _EXPORTS = {
         "verify_mesh",
     ),
     "words": (
+        "GroupWord",
+        "algebraic_length_parity",
+        "parse_word",
         "square_conjugate_obstruction",
         "transitive_strand_counts",
     ),

@@ -5,7 +5,9 @@ Z/2 is fixed by phi(x) = a and phi(y) = b, and it is a homomorphism when it
 sends the relator x^p y^-q to pa - qb = 0 (mod 2); the four candidates are
 enumerated directly.  When p and q are both odd, word-length parity
 (a = b = 1) is one of them: it sends every square to 0 and x^p to 1, which
-rules out an immersed Moebius band.  The strand-orbit computation
+rules out an immersed Moebius band.  ``GroupWord`` spells a word out
+letter by letter, for reading a map's value off the word itself.  The
+strand-orbit computation
 classifies simple closed curves on the Moebius band: only 1 or 2 strands
 can be permuted transitively by the edge identification.
 """
@@ -40,6 +42,68 @@ def z2_homomorphisms(x_sum: int, y_sum: int) -> list[tuple[int, int]]:
     """
     return [phi for phi in Z2_MAPS if z2_image(phi, x_sum, y_sum) == 0]
 
+
+
+_GENERATORS = ("x", "y")
+_VALID_LETTERS = frozenset((gen, exp) for gen in _GENERATORS for exp in (1, -1))
+
+
+class GroupWord:
+    """A word over {x, y} stored one letter at a time, exponents +-1."""
+
+    __slots__ = ("letters",)
+
+    def __init__(self, letters: tuple[tuple[str, int], ...] = ()) -> None:
+        if not _VALID_LETTERS.issuperset(letters):
+            bad = next(l for l in letters if l not in _VALID_LETTERS)
+            raise ValueError(f"bad letter {bad!r}")
+        self.letters = tuple(letters)
+
+    def __len__(self) -> int:
+        return len(self.letters)
+
+    def __mul__(self, other: "GroupWord") -> "GroupWord":
+        return GroupWord(self.letters + other.letters)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, GroupWord) and self.letters == other.letters
+
+    def __hash__(self) -> int:
+        return hash(self.letters)
+
+    def __repr__(self) -> str:
+        return f"GroupWord({self.letters!r})"
+
+    def __str__(self) -> str:
+        if not self.letters:
+            return "1"
+        return " ".join(gen if exp == 1 else f"{gen}^-1" for gen, exp in self.letters)
+
+
+def parse_word(text: str) -> GroupWord:
+    """Parse words like ``x y^-1 x^3``; powers expand to repeated letters."""
+    letters: list[tuple[str, int]] = []
+    for token in text.split():
+        gen, _, exp_text = token.partition("^")
+        if gen not in _GENERATORS:
+            raise ValueError(f"unknown generator {gen!r} in {text!r}")
+        exponent = 1
+        if exp_text:
+            try:
+                exponent = int(exp_text)
+            except ValueError:
+                raise ValueError(f"bad exponent {exp_text!r} in {text!r}") from None
+        sign = 1 if exponent >= 0 else -1
+        letters.extend((gen, sign) for _ in range(abs(exponent)))
+    return GroupWord(tuple(letters))
+
+
+def algebraic_length_parity(w: GroupWord) -> int:
+    """Letter count mod 2; each letter counts 1 regardless of its sign.
+
+    This is ``LENGTH_PARITY`` read off the spelled-out word.
+    """
+    return len(w.letters) % 2
 
 def square_conjugate_obstruction(p: int, q: int) -> bool:
     """Whether a map to Z/2 obstructs an immersed Moebius band for T(p,q).

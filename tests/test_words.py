@@ -7,9 +7,24 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from crosscap import words
-from crosscap.words import LENGTH_PARITY, Z2_MAPS
+from crosscap.words import LENGTH_PARITY, Z2_MAPS, GroupWord, parse_word
 
 sums = st.integers(min_value=-10**6, max_value=10**6)
+letters = st.tuples(st.sampled_from(("x", "y")), st.sampled_from((1, -1)))
+word_strategy = st.builds(GroupWord, st.tuples()) | st.builds(
+    lambda ls: GroupWord(tuple(ls)), st.lists(letters, max_size=60)
+)
+
+
+def reduce_freely(w):
+    """Cancel adjacent inverse pairs until none is left (test oracle)."""
+    stack = []
+    for letter in w.letters:
+        if stack and stack[-1][0] == letter[0] and stack[-1][1] == -letter[1]:
+            stack.pop()
+        else:
+            stack.append(letter)
+    return GroupWord(tuple(stack))
 
 
 class TestParity:
@@ -27,6 +42,44 @@ class TestParity:
     def test_squares_have_parity_zero(self, x_sum, y_sum):
         for phi in Z2_MAPS:
             assert words.z2_image(phi, 2 * x_sum, 2 * y_sum) == 0
+
+    @given(w=word_strategy)
+    def test_free_reduction_preserves_parity(self, w):
+        reduced = reduce_freely(w)
+        assert words.algebraic_length_parity(reduced) == (
+            words.algebraic_length_parity(w)
+        )
+        x_sum = sum(e for g, e in w.letters if g == "x")
+        y_sum = sum(e for g, e in w.letters if g == "y")
+        assert words.algebraic_length_parity(w) == words.z2_image(
+            LENGTH_PARITY, x_sum, y_sum
+        )
+
+
+class TestParseWord:
+    def test_expansion(self):
+        assert parse_word("x y^-1 x^3").letters == (
+            ("x", 1), ("y", -1), ("x", 1), ("x", 1), ("x", 1)
+        )
+
+    def test_zero_power_vanishes(self):
+        assert parse_word("x^0 y").letters == (("y", 1),)
+
+    def test_bad_generator(self):
+        with pytest.raises(ValueError):
+            parse_word("z^2")
+
+
+class TestInsertRelator:
+    def test_even_relator_changes_parity(self):
+        # With an even parameter the relator length p+q is odd, so splicing
+        # it in is a parity-changing rewrite: no obstruction can exist.
+        for p, q in ((4, 3), (3, 4), (2, 9), (8, 5)):
+            w = parse_word("y x y")
+            rel = parse_word(f"x^{p} y^{-q}")
+            spliced = GroupWord(w.letters[:2] + rel.letters + w.letters[2:])
+            assert words.algebraic_length_parity(spliced) == 0
+            assert LENGTH_PARITY not in words.z2_homomorphisms(p, -q)
 
 
 class TestHomomorphisms:
