@@ -9,8 +9,9 @@ Euler characteristic gaps of the surgered manifolds.
 
 ``import crosscap`` loads no submodule.  Each public name is served from
 this package on first access, by importing the one submodule that defines
-it, so a CLI command loads only the modules it runs; only the mesh layer
-(``crosscap.mobius``) needs numpy.
+it, and ``crosscap.knots`` and the other submodules load the same way when
+first read, so a CLI command loads only the modules it runs; only the mesh
+layer (``crosscap.mobius``) needs numpy.
 """
 
 from importlib import import_module
@@ -85,6 +86,8 @@ def __getattr__(name: str):
     # Not cached here, so a name always reads what its submodule binds now.
     if name in _HOMES:
         return getattr(import_module(f".{_HOMES[name]}", __name__), name)
+    if name in _EXPORTS:
+        return import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

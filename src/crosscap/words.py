@@ -7,14 +7,16 @@ enumerated directly.  When p and q are both odd, word-length parity
 (a = b = 1) is one of them: it sends every square to 0 and x^p to 1, which
 rules out an immersed Moebius band.  ``GroupWord`` spells a word out
 letter by letter, for reading a map's value off the word itself.  The
-strand-orbit computation
-classifies simple closed curves on the Moebius band: only 1 or 2 strands
-can be permuted transitively by the edge identification.
+strand-orbit computation classifies simple closed curves on the Moebius
+band: only 1 or 2 strands can be permuted transitively by the edge
+identification.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import gcd
+from typing import Literal
 
 # The four maps from the free group on {x, y} to Z/2, as (phi(x), phi(y)).
 Z2_MAPS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -43,21 +45,27 @@ def z2_homomorphisms(x_sum: int, y_sum: int) -> list[tuple[int, int]]:
     return [phi for phi in Z2_MAPS if z2_image(phi, x_sum, y_sum) == 0]
 
 
+Generator = Literal["x", "y"]
+Letter = tuple[Generator, int]
 
 _GENERATORS = ("x", "y")
-_VALID_LETTERS = frozenset((gen, exp) for gen in _GENERATORS for exp in (1, -1))
 
 
+_VALID_LETTERS = frozenset(
+    (gen, exp) for gen in _GENERATORS for exp in (1, -1)
+)
+
+
+@dataclass(frozen=True)
 class GroupWord:
     """A word over {x, y} stored one letter at a time, exponents +-1."""
 
-    __slots__ = ("letters",)
+    letters: tuple[Letter, ...] = ()
 
-    def __init__(self, letters: tuple[tuple[str, int], ...] = ()) -> None:
-        if not _VALID_LETTERS.issuperset(letters):
-            bad = next(l for l in letters if l not in _VALID_LETTERS)
+    def __post_init__(self) -> None:
+        if not _VALID_LETTERS.issuperset(self.letters):
+            bad = next(l for l in self.letters if l not in _VALID_LETTERS)
             raise ValueError(f"bad letter {bad!r}")
-        self.letters = tuple(letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -65,24 +73,18 @@ class GroupWord:
     def __mul__(self, other: "GroupWord") -> "GroupWord":
         return GroupWord(self.letters + other.letters)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, GroupWord) and self.letters == other.letters
-
-    def __hash__(self) -> int:
-        return hash(self.letters)
-
-    def __repr__(self) -> str:
-        return f"GroupWord({self.letters!r})"
-
     def __str__(self) -> str:
         if not self.letters:
             return "1"
-        return " ".join(gen if exp == 1 else f"{gen}^-1" for gen, exp in self.letters)
+        parts = []
+        for gen, exp in self.letters:
+            parts.append(gen if exp == 1 else f"{gen}^-1")
+        return " ".join(parts)
 
 
 def parse_word(text: str) -> GroupWord:
     """Parse words like ``x y^-1 x^3``; powers expand to repeated letters."""
-    letters: list[tuple[str, int]] = []
+    letters: list[Letter] = []
     for token in text.split():
         gen, _, exp_text = token.partition("^")
         if gen not in _GENERATORS:
@@ -104,6 +106,7 @@ def algebraic_length_parity(w: GroupWord) -> int:
     This is ``LENGTH_PARITY`` read off the spelled-out word.
     """
     return len(w.letters) % 2
+
 
 def square_conjugate_obstruction(p: int, q: int) -> bool:
     """Whether a map to Z/2 obstructs an immersed Moebius band for T(p,q).

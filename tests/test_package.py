@@ -41,17 +41,22 @@ print(json.dumps(steps))
 """
 
 
-def _probe(*commands):
+def _run_fresh(*args):
+    """stdout of a fresh interpreter run on ``args``, with src on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(commands)],
+        [sys.executable, *args],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return proc.stdout
+
+
+def _probe(*commands):
+    return json.loads(_run_fresh("-c", _PROBE, json.dumps(commands)))
 
 
 def test_only_mesh_commands_load_numpy():
@@ -90,6 +95,19 @@ def test_each_command_loads_only_its_modules(argv, modules):
         sorted(["crosscap.cli", *(f"crosscap.{m}" for m in modules)]),
     ]
     assert steps[-1][1] == 0
+
+
+def test_submodules_load_on_first_read():
+    # Before the package went lazy, ``import crosscap`` bound every
+    # submodule, so ``crosscap.knots.parse_knot`` worked with no other import.
+    out = _run_fresh("-c", (
+        "import sys, crosscap\n"
+        "before = sorted(m for m in sys.modules if m.startswith('crosscap.'))\n"
+        "print(before, crosscap.format_knot(crosscap.knots.parse_knot('torus(2,3)')),"
+        " crosscap.words.transitive_strand_counts(4) == {1, 2},"
+        " crosscap.mobius is sys.modules['crosscap.mobius'])"
+    ))
+    assert out.split() == ["[]", "torus(2,3)", "True", "True"]
 
 
 def test_every_public_name_resolves():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from crosscap import words
 from crosscap.words import LENGTH_PARITY, Z2_MAPS, GroupWord, parse_word
 
-sums = st.integers(min_value=-10**6, max_value=10**6)
 letters = st.tuples(st.sampled_from(("x", "y")), st.sampled_from((1, -1)))
 word_strategy = st.builds(GroupWord, st.tuples()) | st.builds(
     lambda ls: GroupWord(tuple(ls)), st.lists(letters, max_size=60)
@@ -27,21 +26,34 @@ def reduce_freely(w):
     return GroupWord(tuple(stack))
 
 
+def exponent_sums(w):
+    """(x_sum, y_sum) of a spelled-out word (test oracle)."""
+    x_sum = sum(e for g, e in w.letters if g == "x")
+    y_sum = sum(e for g, e in w.letters if g == "y")
+    return x_sum, y_sum
+
+
 class TestParity:
     def test_commutator_is_even(self):
-        # x y x^-1 y^-1 has exponent sums (0, 0) and length 4.
-        assert words.z2_image(LENGTH_PARITY, 0, 0) == 0
+        w = parse_word("x y x^-1 y^-1")
+        assert words.algebraic_length_parity(w) == 0
+        assert words.z2_image(LENGTH_PARITY, *exponent_sums(w)) == 0
 
     def test_cube_is_odd(self):
-        assert words.z2_image(LENGTH_PARITY, 3, 0) == 1
+        w = parse_word("x^3")
+        assert words.algebraic_length_parity(w) == 1
+        assert words.z2_image(LENGTH_PARITY, *exponent_sums(w)) == 1
 
     def test_empty_word(self):
+        assert words.algebraic_length_parity(GroupWord()) == 0
         assert all(words.z2_image(phi, 0, 0) == 0 for phi in Z2_MAPS)
 
-    @given(x_sum=sums, y_sum=sums)
-    def test_squares_have_parity_zero(self, x_sum, y_sum):
+    @given(w=word_strategy)
+    def test_squares_have_parity_zero(self, w):
+        square = w * w
+        assert words.algebraic_length_parity(square) == 0
         for phi in Z2_MAPS:
-            assert words.z2_image(phi, 2 * x_sum, 2 * y_sum) == 0
+            assert words.z2_image(phi, *exponent_sums(square)) == 0
 
     @given(w=word_strategy)
     def test_free_reduction_preserves_parity(self, w):
@@ -49,10 +61,8 @@ class TestParity:
         assert words.algebraic_length_parity(reduced) == (
             words.algebraic_length_parity(w)
         )
-        x_sum = sum(e for g, e in w.letters if g == "x")
-        y_sum = sum(e for g, e in w.letters if g == "y")
         assert words.algebraic_length_parity(w) == words.z2_image(
-            LENGTH_PARITY, x_sum, y_sum
+            LENGTH_PARITY, *exponent_sums(w)
         )
 
 
@@ -68,6 +78,22 @@ class TestParseWord:
     def test_bad_generator(self):
         with pytest.raises(ValueError):
             parse_word("z^2")
+
+    def test_str_round_trips(self):
+        w = parse_word("x y^-1 x^2")
+        assert str(w) == "x y^-1 x x"
+        assert parse_word(str(w)) == w
+        assert str(GroupWord()) == "1"
+
+    def test_words_are_frozen(self):
+        w = parse_word("x y")
+        with pytest.raises(AttributeError):
+            w.letters = ()
+        assert hash(w) == hash(parse_word("x^1 y^1"))
+
+    def test_bad_letter(self):
+        with pytest.raises(ValueError):
+            GroupWord((("x", 2),))
 
 
 class TestInsertRelator:
