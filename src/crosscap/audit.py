@@ -207,7 +207,7 @@ def _z2_homomorphisms() -> None:
     obstruction."""
     # Both signs of every magnitude, smallest first, so a failure names the
     # smallest disagreeing pair.
-    grid = np.array([s * m for m in range(1, 201) for s in (1, -1)])
+    grid = np.array([s * m for m in range(1, 201) for s in (1, -1)], np.int16)
     p, q = (axis.ravel() for axis in np.meshgrid(grid, grid, indexing="ij"))
     coprime = np.gcd(p, q) == 1
     p, q = p[coprime], q[coprime]
@@ -230,8 +230,10 @@ def _z2_homomorphisms() -> None:
                     f"some phi killing {relator} sends x^p to 1 iff p, q are odd")
     big = (np.abs(p) >= 2) & (np.abs(q) >= 2)
     p, q, both_odd = p[big], q[big], both_odd[big]
+    # map(int, ...) hands over one Python int at a time; two .tolist()
+    # copies would hold ~190k int objects at once.
     obstructed = np.fromiter(
-        map(words.square_conjugate_obstruction, p.tolist(), q.tolist()),
+        map(words.square_conjugate_obstruction, map(int, p), map(int, q)),
         bool, count=len(p),
     )
     _first_miss(obstructed == both_odd, p, q,
