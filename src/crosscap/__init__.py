@@ -70,9 +70,6 @@ _EXPORTS = {
         "verify_mesh",
     ),
     "words": (
-        "GroupWord",
-        "algebraic_length_parity",
-        "parse_word",
         "square_conjugate_obstruction",
         "transitive_strand_counts",
     ),

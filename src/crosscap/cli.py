@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage error, 2 validation or input error,
-3 a check failed: an ``audit`` property suite, or the mesh certificate of
-``build-mobius`` or ``verify-mesh``.
+Exit codes: 0 success, 1 usage error, 2 validation or input error or out
+of memory, 3 a check failed: an ``audit`` property suite, or the mesh
+certificate of ``build-mobius`` or ``verify-mesh``.
 
 Each command returns its JSON payload, its text lines and its exit code,
 and ``main`` prints the one that ``--format`` asks for.
@@ -183,7 +183,7 @@ def _cmd_audit(args: argparse.Namespace) -> _Result:
 
     from . import audit
 
-    results = audit.run_audit(seed=args.seed)
+    results = audit.run_audit()
     failures = sum(not result.ok for result in results)
     passed = len(results) - failures
     lines = [
@@ -263,8 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
 
-    p = add("audit", "run every property suite; nonzero exit on any failure")
-    p.add_argument("--seed", type=int, default=0)
+    add("audit", "run every property suite; nonzero exit on any failure")
 
     return parser
 
@@ -293,6 +292,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return USAGE_EXIT
     except (ValueError, OSError) as exc:  # knot and mesh errors are ValueErrors
         print(f"crosscap: {exc}", file=sys.stderr)
+        return VALIDATION_EXIT
+    except MemoryError as exc:
+        detail = str(exc) or "allocation failed"
+        print(f"crosscap: out of memory: {detail}", file=sys.stderr)
         return VALIDATION_EXIT
 
 

@@ -469,6 +469,7 @@ def _strip_columns(triangles: np.ndarray, s: SweepParams) -> np.ndarray:
 
 _SWEEP_CHUNK = 1024  # sorted blocks whose partner runs are expanded at once
 _CROSSING_BATCH = 8192  # box-survivor pairs gathered before a crossing test
+_HITS_PER_TRIANGLE = 10  # hit rows the scan may keep per budgeted triangle
 
 
 def _triangle_boxes(mesh: ImmersedMobiusMesh) -> np.ndarray:
@@ -647,7 +648,10 @@ def self_intersection_points(mesh: ImmersedMobiusMesh, s: SweepParams) -> np.nda
     _CROSSING_BATCH pairs plus one chunk's split survivors), one crossing
     batch and the hit rows; no array spans every box survivor.  The
     sweep's arrays go with the spent generator, before the hit rows are
-    joined into one array.
+    joined into one array.  The hit rows are counted as each batch comes
+    in: past _HITS_PER_TRIANGLE times the triangle budget of
+    CROSSCAP_MAX_MESH (20M rows, 480 MB, by default) the scan raises
+    MeshParameterError rather than run out of memory.
 
     For p = 1 the strip has length theta_steps, so a triangle's sector is
     its column, and a pair in the same or adjacent sectors is at circular
@@ -656,9 +660,18 @@ def self_intersection_points(mesh: ImmersedMobiusMesh, s: SweepParams) -> np.nda
     """
     if s.p == 1:
         return np.empty((0, 3))
-    found = [np.empty((0, 3))]
+    budget = _HITS_PER_TRIANGLE * max_triangle_budget()
+    found, rows = [np.empty((0, 3))], 0
     for pairs in _candidate_pairs(mesh, s):
-        found += _crossing_points(mesh, pairs)
+        batch = _crossing_points(mesh, pairs)
+        found += batch
+        rows += sum(map(len, batch))
+        if rows > budget:
+            raise MeshParameterError(
+                f"self-intersection scan reached {rows} hit rows, over the "
+                f"budget {budget} ({_HITS_PER_TRIANGLE} per triangle of "
+                f"{MAX_MESH_ENV})"
+            )
     return np.concatenate(found)
 
 

@@ -76,6 +76,6 @@ def test_criterion_7_homology_gap():
 
 def test_criterion_8_audit_runs_clean():
     with _Criterion(8, "full audit under one minute", 60.0):
-        results = audit.run_audit(seed=0)
+        results = audit.run_audit()
         failures = [r for r in results if not r.ok]
         assert not failures, "; ".join(f"{r.name}: {r.detail}" for r in failures)

@@ -20,6 +20,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _src_env(**extra):
+    """This environment plus ``extra``, with the checkout's src on the path."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return env
+
+
 class TestClassify:
     def test_text(self, capsys):
         code, out, _ = run(capsys, "classify", "--knot", "torus(4,3)")
@@ -100,14 +109,10 @@ class TestGaps:
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_stdout_closed_at_startup_drops_output(self, fmt):
         # With fd 1 closed before the interpreter starts, sys.stdout is None.
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-        )
         proc = subprocess.run(
             [sys.executable, "-m", "crosscap.cli", "gaps", "--k-max", "5",
              "--format", fmt],
-            preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE, env=env,
+            preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE, env=_src_env(),
             text=True, timeout=60,
         )
         assert (proc.returncode, proc.stderr) == (0, "")
@@ -270,12 +275,68 @@ class TestMeshCommands:
         assert payload["failed_checks"] == ["max_offcore_selfintersection_distance"]
         assert payload["tolerance"] == 1e-30
 
+    def test_scan_over_row_budget_exits_2(self, capsys, tmp_path, monkeypatch):
+        # 6,400 triangles, inside the budget, but about 1.95M hit rows.
+        monkeypatch.setenv("CROSSCAP_MAX_MESH", "6400")
+        target = tmp_path / "big.off"
+        code, out, err = run(
+            capsys, "build-mobius", "--p", "20", "--q", "1", "--theta-steps", "80",
+            "--chord-steps", "3", "--out", str(target),
+        )
+        assert code == 2
+        assert out == ""
+        assert "hit rows, over the budget 64000" in err
+        assert not target.exists()
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "verify-mesh", "--p", "2", "--q", "3",
             "--out", str(tmp_path / "absent.off"),
         )
         assert code == 2
+
+
+def _run_limited(limit_mb, *argv, cwd):
+    """A fresh ``crosscap`` run whose address space is capped at limit_mb.
+
+    One BLAS thread keeps numpy's own address space small and the same on
+    every host."""
+    limit = limit_mb * 2**20
+    return subprocess.run(
+        [sys.executable, "-c",
+         "import resource, sys\n"
+         f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+         "from crosscap.cli import main\n"
+         "sys.exit(main(sys.argv[1:]))\n",
+         *argv],
+        cwd=cwd, env=_src_env(OPENBLAS_NUM_THREADS="1"), capture_output=True,
+        text=True, timeout=300,
+    )
+
+
+class TestMemoryLimits:
+    def test_out_of_memory_exits_2(self, tmp_path):
+        # 2.0M triangles, inside the budget, in a 300 MB address space.
+        proc = _run_limited(
+            300, "build-mobius", "--p", "1", "--q", "1", "--theta-steps", "100000",
+            "--chord-steps", "11", "--out", "huge.off", cwd=tmp_path,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("crosscap: out of memory: ")
+        assert proc.stderr.count("\n") == 1
+        assert not (tmp_path / "huge.off").exists()
+
+    def test_scan_stops_at_row_budget_before_memory_runs_out(self, tmp_path):
+        # 160,000 triangles whose scan would keep about 250M hit rows (~6 GB);
+        # it stops at the 20M-row default budget, well inside 1.5 GB.
+        proc = _run_limited(
+            1536, "build-mobius", "--p", "100", "--q", "1", "--theta-steps", "400",
+            "--chord-steps", "3", "--out", "big.off", cwd=tmp_path,
+        )
+        assert proc.returncode == 2
+        assert "hit rows, over the budget 20000000" in proc.stderr
+        assert not (tmp_path / "big.off").exists()
 
 
 class TestSmallCommands:
@@ -356,11 +417,17 @@ def test_missing_required_flag_exits_1(capsys, argv, flag):
 
 class TestAudit:
     def test_audit_passes(self, capsys):
-        code, out, _ = run(capsys, "audit", "--seed", "7")
+        code, out, _ = run(capsys, "audit")
         assert code == 0
         lines = out.strip().splitlines()
         assert all(line.startswith("ok") for line in lines[:-1])
         assert "property suites passed" in lines[-1]
+
+    def test_audit_takes_no_seed(self, capsys):
+        code, out, err = run(capsys, "audit", "--seed", "0")
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: --seed 0" in err
 
     def test_audit_failure_exits_3(self, capsys, monkeypatch):
         from crosscap import audit
@@ -368,7 +435,7 @@ class TestAudit:
         monkeypatch.setattr(
             audit,
             "run_audit",
-            lambda seed=0: [audit.CheckResult("forced failure", False, "boom")],
+            lambda: [audit.CheckResult("forced failure", False, "boom")],
         )
         code, out, _ = run(capsys, "audit")
         assert code == 3
@@ -387,14 +454,31 @@ class TestAudit:
         assert failed[0].startswith("FAIL words: Hom(<x, y | x^p = y^q>, Z/2)")
         assert failed[0].endswith("fails at (p, q) = (3, 2)")
 
+    def test_normalization_slip_on_one_pair_fails_the_knot_suite(
+        self, capsys, monkeypatch
+    ):
+        from crosscap import knots
+
+        right = knots.normalize_torus
+        slip = knots.TorusParams(29, 17)
+        monkeypatch.setattr(knots, "normalize_torus",
+                            lambda t: t if t == slip else right(t))
+        code, out, _ = run(capsys, "audit")
+        assert code == 3
+        failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert len(failed) == 1
+        assert failed[0].startswith("FAIL knots: normalization")
+        # (-29, -17) is the first pair in row order to mirror onto the slip.
+        assert failed[0].endswith("normalization asymmetric on (-29, -17)")
+
     def test_audit_json_failure_exits_3(self, capsys, monkeypatch):
         from crosscap import audit
 
         monkeypatch.setattr(
             audit,
             "run_audit",
-            lambda seed=0: [audit.CheckResult("fine", True),
-                            audit.CheckResult("forced failure", False, "boom")],
+            lambda: [audit.CheckResult("fine", True),
+                     audit.CheckResult("forced failure", False, "boom")],
         )
         code, out, _ = run(capsys, "audit", "--format", "json")
         assert code == 3

@@ -4,10 +4,10 @@ capture in tests/golden/cli.json.
 Each case runs ``cli.main`` in-process on its argv, after running the argv
 lists in its ``setup`` field (output ignored).  ``{tmp}`` in an argv stands
 for a fresh temporary directory and is written back as ``{tmp}`` in stdout,
-so captures do not depend on where they were taken.  The two ``audit
---seed 0`` cases share one real run of the suites: ``run_audit`` is
-deterministic for a seed, and each case still formats and compares the
-real results.
+so captures do not depend on where they were taken.  The two ``audit``
+cases share one real run of the suites: every suite is a fixed,
+exhaustive check, so ``run_audit`` is deterministic, and each case still
+formats and compares the real results.
 
 After an intended change of CLI output, rewrite the capture with
 
@@ -56,8 +56,8 @@ CASES = [
     {"argv": ["homology", "--n", "4", "--format", "json"]},
     {"argv": ["twist", "--chi", "-4", "--n", "2"]},
     {"argv": ["twist", "--chi", "-10", "--n", "3", "--format", "json"]},
-    {"argv": ["audit", "--seed", "0"]},
-    {"argv": ["audit", "--seed", "0", "--format", "json"]},
+    {"argv": ["audit"]},
+    {"argv": ["audit", "--format", "json"]},
     {"argv": ["classify"]},
     {"argv": ["classify", "--knot", "torus(4,6)"]},
     {"setup": [_MESH_OFF],

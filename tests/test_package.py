@@ -15,7 +15,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # Runs in a fresh interpreter on the JSON list of argv lists in sys.argv[1],
 # so no other test has imported numpy or a crosscap submodule yet.  Prints
 # one JSON list: per step, its name, its exit code (None for an import),
-# whether numpy was loaded after it and which crosscap submodules were.
+# whether numpy was loaded after it, which crosscap submodules were, and
+# whether dataclasses was.
 _PROBE = """
 import contextlib, io, json, sys, tempfile
 
@@ -23,7 +24,8 @@ steps = []
 
 def record(name, code):
     loaded = sorted(m for m in sys.modules if m.startswith("crosscap."))
-    steps.append([name, code, "numpy" in sys.modules, loaded])
+    steps.append([name, code, "numpy" in sys.modules, loaded,
+                  "dataclasses" in sys.modules])
 
 import crosscap
 record("import crosscap", None)
@@ -70,9 +72,9 @@ def test_only_mesh_commands_load_numpy():
         ["build-mobius", "--p", "2", "--q", "3", "--theta-steps", "32",
          "--chord-steps", "4", "--out", "{tmp}/band.off"],
     )
-    *light, (build, build_code, build_numpy, _) = steps
-    assert [code for _, code, _, _ in light] == [None, None, 0, 0, 0, 0, 0, 1]
-    assert [name for name, _, numpy, _ in light if numpy] == []
+    *light, (build, build_code, build_numpy, _, _) = steps
+    assert [code for _, code, _, _, _ in light] == [None, None, 0, 0, 0, 0, 0, 1]
+    assert [name for name, _, numpy, _, _ in light if numpy] == []
     # The mesh command does load it, so the checks above cannot pass vacuously.
     assert build.startswith("build-mobius")
     assert (build_code, build_numpy) == (0, True)
@@ -89,12 +91,24 @@ def test_each_command_loads_only_its_modules(argv, modules):
     # A package or CLI that imports every submodule up front prints the same
     # output; only this shows that a command loads just what it runs.
     steps = _probe(argv)
-    assert [loaded for _, _, _, loaded in steps] == [
+    assert [loaded for _, _, _, loaded, _ in steps] == [
         [],
         ["crosscap.cli"],
         sorted(["crosscap.cli", *(f"crosscap.{m}" for m in modules)]),
     ]
     assert steps[-1][1] == 0
+
+
+def test_obstruction_loads_no_dataclasses():
+    # dataclasses (with inspect) costs about 9 ms of start-up; ``obstruction``
+    # needs neither.  ``classify`` does load it, so the probe can see it.
+    steps = _probe(
+        ["obstruction", "--p", "3", "--q", "5", "--format", "json"],
+        ["classify", "--knot", "torus(4,3)"],
+    )
+    assert [(code, dataclasses) for _, code, _, _, dataclasses in steps] == [
+        (None, False), (None, False), (0, False), (0, True),
+    ]
 
 
 def test_submodules_load_on_first_read():
