@@ -50,12 +50,10 @@ _EXPORTS = {
         "TorusParams",
         "UNKNOT",
         "Unknot",
-        "ValidationResult",
         "format_knot",
         "is_trivial",
         "normalize_torus",
         "parse_knot",
-        "validate",
         "winding_is_even",
     ),
     "mobius": (

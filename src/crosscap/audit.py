@@ -41,12 +41,12 @@ def _knot_normalization() -> None:
     box = [n for n in range(-40, 41) if n]
     for a in box:
         for b in box:
-            t = knots.TorusParams(a, b)
-            result = knots.validate(knots.TorusKnot(t))
-            if gcd(abs(a), abs(b)) != 1:
-                assert not result.ok, f"validate missed gcd violation on ({a}, {b})"
+            try:
+                t = knots.TorusParams(a, b)
+            except knots.InvalidPresentationError:
+                assert gcd(a, b) != 1, f"TorusParams refused coprime ({a}, {b})"
                 continue
-            assert result.ok, f"validate rejected coprime ({a}, {b})"
+            assert gcd(a, b) == 1, f"TorusParams accepted gcd violation on ({a}, {b})"
             norm = knots.normalize_torus(t)
             again = knots.normalize_torus(norm)
             assert norm == again, f"normalization not idempotent on ({a}, {b})"
@@ -98,18 +98,34 @@ def _gamma_i_cables() -> None:
         knots.TorusKnot(knots.TorusParams(3, 5)),
         knots.CableKnot(knots.TorusParams(4, 3), trefoil),
     ]
+    # Every torus presentation of the unknot inside |m| <= 10.
+    unknots = [
+        knots.TorusKnot(knots.TorusParams(a, b))
+        for m in (*range(1, 11), *range(-10, 0))
+        for a, b in ((1, m), (-1, m), (m, 1), (m, -1))
+    ]
+    patterns = [
+        knots.TorusParams(winding, meridional)
+        for winding in (*range(2, 11), *range(-10, -1))
+        for meridional in range(-10, 11)
+        if meridional and gcd(winding, meridional) == 1
+    ]
     for companion in companions:
-        for winding in (*range(2, 11), *range(-10, -1)):
-            for meridional in range(-10, 11):
-                if meridional == 0 or gcd(abs(winding), abs(meridional)) != 1:
-                    continue
-                k = knots.CableKnot(knots.TorusParams(winding, meridional), companion)
-                value = invariants.gamma_I(k)
-                if winding % 2 == 0:
-                    assert value.is_known and value.value == 1, f"cable {k}"
-                else:
-                    assert value.kind is invariants.ValueKind.LOWER_BOUND, f"cable {k}"
-                    assert value.value == 2, f"cable {k}"
+        for params in patterns:
+            k = knots.CableKnot(params, companion)
+            value = invariants.gamma_I(k)
+            if params.winding % 2 == 0:
+                assert value.is_known and value.value == 1, f"cable {k}"
+            else:
+                assert value.kind is invariants.ValueKind.LOWER_BOUND, f"cable {k}"
+                assert value.value == 2, f"cable {k}"
+    for unknot in unknots:
+        for params in patterns:
+            try:
+                k = knots.CableKnot(params, unknot)
+            except knots.InvalidPresentationError:
+                continue
+            raise AssertionError(f"cable over the unknot accepted: {k}")
 
 
 def _genus_families() -> None:

@@ -23,7 +23,6 @@ from .knots import (
     format_knot,
     is_trivial,
     normalize_torus,
-    require_valid,
     winding_is_even,
 )
 
@@ -125,7 +124,6 @@ def gamma_I(k: KnotPresentation) -> InvariantValue:
     presentations with even winding, LowerBound(2) for the odd-winding ones
     and for knots asserted hyperbolic, Unknown otherwise.
     """
-    require_valid(k)
     if is_trivial(k):
         return InvariantValue.known(0, _UNKNOT_PROV)
     if isinstance(k, ExternalKnot):
@@ -207,7 +205,6 @@ def primality(k: KnotPresentation) -> Optional[bool]:
     return None (the unknot is neither prime nor composite), as do opaque
     external names.
     """
-    require_valid(k)
     if is_trivial(k):
         return None
     if isinstance(k, (TorusKnot, CableKnot)):
@@ -217,7 +214,7 @@ def primality(k: KnotPresentation) -> Optional[bool]:
 
 @dataclass(frozen=True)
 class InvariantReport:
-    """Bundle of the four invariants plus primality and gap quantities."""
+    """Bundle of the four invariants plus primality; the gaps derive from them."""
 
     knot: KnotPresentation
     gamma_i: InvariantValue
@@ -225,19 +222,25 @@ class InvariantReport:
     gamma_4: InvariantValue
     g_3: InvariantValue
     prime: Optional[bool]
-    gap_3i: Optional[int]
-    gap_4i: Optional[int]
 
     def __post_init__(self) -> None:
-        if self.gamma_3.is_known and self.gamma_i.is_known:
-            gap = self.gamma_3.value - self.gamma_i.value
-            if gap < 0:
-                raise ValueError("gamma_3 must dominate gamma_I")
-            if self.gap_3i != gap:
-                raise ValueError("gap_3i inconsistent with the stated values")
+        if self.gap_3i is not None and self.gap_3i < 0:
+            raise ValueError("gamma_3 must dominate gamma_I")
         if self.gamma_3.is_known and self.gamma_4.is_known:
             if self.gamma_3.value < self.gamma_4.value:
                 raise ValueError("gamma_3 must dominate gamma_4")
+
+    @property
+    def gap_3i(self) -> Optional[int]:
+        """gamma_3 - gamma_I, or None unless both are known."""
+        known = self.gamma_3.is_known and self.gamma_i.is_known
+        return self.gamma_3.value - self.gamma_i.value if known else None
+
+    @property
+    def gap_4i(self) -> Optional[int]:
+        """gamma_4 - gamma_I, or None unless both are known."""
+        known = self.gamma_4.is_known and self.gamma_i.is_known
+        return self.gamma_4.value - self.gamma_i.value if known else None
 
     def to_dict(self) -> dict:
         return {
@@ -252,36 +255,24 @@ class InvariantReport:
         }
 
 
-def _gap(a: InvariantValue, b: InvariantValue) -> Optional[int]:
-    if a.is_known and b.is_known:
-        return a.value - b.value
-    return None
-
-
 def invariant_report(k: KnotPresentation) -> InvariantReport:
     """Compute every implemented invariant of one presentation."""
-    require_valid(k)
     gi = gamma_I(k)
     if is_trivial(k):
-        zero = InvariantValue.known(0, _UNKNOT_PROV)
-        g3v, c3, c4 = zero, zero, zero
+        g3v = c3 = c4 = InvariantValue.known(0, _UNKNOT_PROV)
     elif isinstance(k, TorusKnot):
         g3v = seifert_genus_torus(k.params)
         c3 = gamma3_torus(k.params)
         c4 = gamma4_torus(k.params)
-    elif isinstance(k, ExternalKnot) and k.flags.slice:
-        g3v = InvariantValue.unknown("no formula for a knot known only by name")
-        c3 = InvariantValue.unknown("no formula for a knot known only by name")
-        c4 = InvariantValue.known(0, _SLICE_PROV)
     else:
         reason = (
             "no closed form implemented for cables"
             if isinstance(k, CableKnot)
             else "no formula for a knot known only by name"
         )
-        g3v = InvariantValue.unknown(reason)
-        c3 = InvariantValue.unknown(reason)
-        c4 = InvariantValue.unknown(reason)
+        g3v = c3 = c4 = InvariantValue.unknown(reason)
+        if isinstance(k, ExternalKnot) and k.flags.slice:
+            c4 = InvariantValue.known(0, _SLICE_PROV)
     return InvariantReport(
         knot=k,
         gamma_i=gi,
@@ -289,8 +280,6 @@ def invariant_report(k: KnotPresentation) -> InvariantReport:
         gamma_4=c4,
         g_3=g3v,
         prime=primality(k),
-        gap_3i=_gap(c3, gi),
-        gap_4i=_gap(c4, gi),
     )
 
 

@@ -8,13 +8,19 @@ longitude of the solid torus and the meridional entry is the coefficient of
 the meridian.  All invariants computed downstream are mirror-invariant, so
 normalization folds ``(a, b)``, ``(b, a)`` and ``(-a, -b)`` into one
 canonical representative.
+
+Presentations are valid by construction: each constructor raises
+InvalidPresentationError on a broken rule.  ``is_trivial`` is the one
+triviality rule, and a cable's companion must be knotted by it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Optional
+from typing import Callable, Optional, TypeVar
+
+_T = TypeVar("_T")
 
 
 class KnotGrammarError(ValueError):
@@ -22,19 +28,30 @@ class KnotGrammarError(ValueError):
 
 
 class InvalidPresentationError(ValueError):
-    """Raised by operations that require a structurally valid presentation."""
+    """Raised when a presentation would break a structural rule; ``part`` is
+    ``".companion"`` when a cable's companion broke it, else ``""``."""
+
+    def __init__(self, message: str, part: str = ""):
+        super().__init__(message)
+        self.part = part
 
 
 @dataclass(frozen=True)
 class TorusParams:
     """Coefficient pair (winding, meridional) of a curve on a torus.
 
-    Valid pairs are coprime in absolute value with neither entry zero;
-    curves with a zero coefficient are handled by the unknot case.
+    Both entries are nonzero and coprime; curves with a zero coefficient
+    are handled by the unknot case.
     """
 
     winding: int
     meridional: int
+
+    def __post_init__(self) -> None:
+        if self.winding == 0 or self.meridional == 0:
+            raise InvalidPresentationError("winding and meridional must be nonzero")
+        if gcd(self.winding, self.meridional) != 1:
+            raise InvalidPresentationError("gcd != 1")
 
     def __str__(self) -> str:
         return f"({self.winding},{self.meridional})"
@@ -87,6 +104,12 @@ class CableKnot(KnotPresentation):
     params: TorusParams
     companion: KnotPresentation
 
+    def __post_init__(self) -> None:
+        if abs(self.params.winding) < 2:
+            raise InvalidPresentationError("cable winding must satisfy |winding| >= 2")
+        if is_trivial(self.companion):
+            raise InvalidPresentationError("companion must be knotted", ".companion")
+
     def __str__(self) -> str:
         return (
             f"cable({self.params.winding},{self.params.meridional}; "
@@ -101,6 +124,10 @@ class ExternalKnot(KnotPresentation):
     name: str
     flags: PropertyFlags = PropertyFlags()
 
+    def __post_init__(self) -> None:
+        if not self.name:
+            raise InvalidPresentationError("external knot needs a nonempty name")
+
     def __str__(self) -> str:
         flag_text = str(self.flags)
         if flag_text:
@@ -109,80 +136,6 @@ class ExternalKnot(KnotPresentation):
 
 
 UNKNOT = Unknot()
-
-
-@dataclass(frozen=True)
-class Violation:
-    location: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.location}: {self.message}"
-
-
-@dataclass(frozen=True)
-class ValidationResult:
-    violations: tuple[Violation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    @property
-    def first(self) -> Optional[Violation]:
-        return self.violations[0] if self.violations else None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def _check_params(t: TorusParams, location: str, out: list[Violation]) -> None:
-    if t.winding == 0 or t.meridional == 0:
-        out.append(Violation(location, "winding and meridional must be nonzero"))
-        return
-    if gcd(abs(t.winding), abs(t.meridional)) != 1:
-        out.append(Violation(location, "gcd != 1"))
-
-
-def _validate_into(k: KnotPresentation, location: str, out: list[Violation]) -> None:
-    if isinstance(k, Unknot):
-        return
-    if isinstance(k, TorusKnot):
-        _check_params(k.params, location, out)
-        return
-    if isinstance(k, CableKnot):
-        _check_params(k.params, location, out)
-        if abs(k.params.winding) < 2:
-            out.append(Violation(location, "cable winding must satisfy |winding| >= 2"))
-        if isinstance(k.companion, Unknot):
-            out.append(Violation(f"{location}.companion", "companion must be knotted"))
-        else:
-            _validate_into(k.companion, f"{location}.companion", out)
-        return
-    if isinstance(k, ExternalKnot):
-        if not k.name:
-            out.append(Violation(location, "external knot needs a nonempty name"))
-        return
-    out.append(Violation(location, f"unrecognized presentation {type(k).__name__}"))
-
-
-def validate(k: KnotPresentation) -> ValidationResult:
-    """Check every structural constraint at every nesting level.
-
-    Violations are returned as values (depth-first, outermost first), never
-    raised; ``result.first`` is the first violated constraint with its
-    location path.
-    """
-    found: list[Violation] = []
-    _validate_into(k, "knot", found)
-    return ValidationResult(tuple(found))
-
-
-def require_valid(k: KnotPresentation) -> None:
-    """Raise InvalidPresentationError unless ``validate(k)`` is clean."""
-    result = validate(k)
-    if not result.ok:
-        raise InvalidPresentationError(str(result.first))
 
 
 def normalize_torus(t: Optional[TorusParams]) -> Optional[TorusParams]:
@@ -207,37 +160,32 @@ def is_trivial(k: KnotPresentation) -> bool:
     """True iff the presentation denotes the unknot.
 
     Torus presentations are trivial exactly when normalization yields the
-    unknot marker.  Cables of knotted companions are always nontrivial, and
-    external names denote nontrivial knots by contract.
+    unknot marker.  Cables (over knotted companions) and, by contract,
+    external names are nontrivial; any other type is refused.
     """
-    require_valid(k)
-    if isinstance(k, Unknot):
-        return True
     if isinstance(k, TorusKnot):
         return normalize_torus(k.params) is None
-    return False
+    if isinstance(k, (Unknot, CableKnot, ExternalKnot)):
+        return isinstance(k, Unknot)
+    raise InvalidPresentationError(f"unrecognized presentation {type(k).__name__}")
 
 
 def winding_is_even(k: KnotPresentation) -> Optional[bool]:
     """Parity of the winding for the torus/cable classification.
 
-    For a torus presentation this asks whether one of the two normalized
-    parameters is even (the two entries swap roles under the standard torus
-    symmetry); for a cable it is the parity of the cable winding.  Returns
-    None for trivial presentations, where the classification does not apply.
+    For a torus presentation this asks whether either parameter is even
+    (the two entries swap roles under the standard torus symmetry, and
+    normalization keeps both parities); for a cable it is the parity of the
+    cable winding.  Returns None for trivial presentations, where the
+    classification does not apply.
     """
-    require_valid(k)
     if isinstance(k, ExternalKnot):
         raise InvalidPresentationError("winding parity is undefined for external knots")
-    if isinstance(k, Unknot):
+    if is_trivial(k):
         return None
     if isinstance(k, TorusKnot):
-        norm = normalize_torus(k.params)
-        if norm is None:
-            return None
-        return norm.winding % 2 == 0 or norm.meridional % 2 == 0
-    assert isinstance(k, CableKnot)
-    return k.params.winding % 2 == 0
+        return k.params.winding % 2 == 0 or k.params.meridional % 2 == 0
+    return k.params.winding % 2 == 0  # a cable: is_trivial refused other types
 
 
 # --- text grammar -----------------------------------------------------------
@@ -249,7 +197,9 @@ def winding_is_even(k: KnotPresentation) -> Optional[bool]:
 #
 # Whitespace is insignificant everywhere; integers are signed decimals.
 # Cables nest at most MAX_CABLE_DEPTH deep, well inside the recursion limit
-# of the code that formats and evaluates a presentation.
+# of the code that formats and evaluates a presentation.  Each part is built
+# once its text is read (a cable after its companion), and a refused one is
+# located as ``knot`` followed by ``.companion`` once per enclosing cable.
 
 MAX_CABLE_DEPTH = 100
 
@@ -298,12 +248,22 @@ class _Parser:
             raise self.error("expected an integer")
         return int(token)
 
-    def params(self) -> TorusParams:
+    def build(self, depth: int, make: Callable[..., _T], *args: object) -> _T:
+        """``make(*args)``, with a refusal located ``depth`` cables down."""
+        try:
+            return make(*args)
+        except InvalidPresentationError as exc:
+            location = "knot" + ".companion" * depth + exc.part
+            raise InvalidPresentationError(f"{location}: {exc}") from None
+
+    def params(self, depth: int, end: str) -> TorusParams:
+        """``(a,b`` and the ``end`` character that follows it."""
         self.expect("(")
         a = self.integer()
         self.expect(",")
         b = self.integer()
-        return TorusParams(a, b)
+        self.expect(end)
+        return self.build(depth, TorusParams, a, b)
 
     def knot(self, depth: int = 0) -> KnotPresentation:
         """One presentation inside ``depth`` enclosing cables."""
@@ -311,17 +271,14 @@ class _Parser:
         if head == "unknot":
             return UNKNOT
         if head == "torus":
-            params = self.params()
-            self.expect(")")
-            return TorusKnot(params)
+            return TorusKnot(self.params(depth, ")"))
         if head == "cable":
             if depth == MAX_CABLE_DEPTH:
                 raise self.error(f"cables nest deeper than {MAX_CABLE_DEPTH}")
-            params = self.params()
-            self.expect(";")
+            params = self.params(depth, ";")
             companion = self.knot(depth + 1)
             self.expect(")")
-            return CableKnot(params, companion)
+            return self.build(depth, CableKnot, params, companion)
         if head == "external":
             self.expect("(")
             name = self.word()

@@ -53,7 +53,7 @@ def test_criterion_3_mesh_certification():
 
 
 def test_criterion_4_parity_obstruction():
-    with _Criterion(4, "relator insertions never change parity", 2.0):
+    with _Criterion(4, "Z/2 maps match the obstruction for |p|, |q| <= 200", 2.0):
         audit._z2_homomorphisms()
         assert words.square_conjugate_obstruction(3, 5) is True
         assert words.square_conjugate_obstruction(4, 3) is False

@@ -53,6 +53,13 @@ class TestClassify:
         assert code == 2
         assert "gcd" in err
 
+    @pytest.mark.parametrize("knot", ["cable(2,1; torus(1,5))", "cable(3,2; torus(1,5))"])
+    def test_cable_over_trivial_torus_exits_2(self, capsys, knot):
+        code, out, err = run(capsys, "classify", "--knot", knot)
+        assert code == 2
+        assert out == ""
+        assert err == "crosscap: knot.companion: companion must be knotted\n"
+
     def test_grammar_error_exits_2(self, capsys):
         code, _, err = run(capsys, "classify", "--knot", "torus(4")
         assert code == 2

@@ -73,8 +73,13 @@ class TestGammaI:
         assert invariants.gamma_I(ExternalKnot("granny")).kind is ValueKind.UNKNOWN
 
     def test_invalid_propagates(self):
+        class Foreign(knots.KnotPresentation):
+            pass
+
         with pytest.raises(knots.InvalidPresentationError):
             invariants.gamma_I(torus(4, 6))
+        with pytest.raises(knots.InvalidPresentationError, match="unrecognized"):
+            invariants.invariant_report(Foreign())
 
     @given(
         a=st.integers(min_value=-40, max_value=40).filter(lambda n: n != 0),
@@ -198,8 +203,6 @@ class TestReports:
                 gamma_4=zero,
                 g_3=zero,
                 prime=True,
-                gap_3i=-1,
-                gap_4i=None,
             )
 
     def test_json_round_trip(self):

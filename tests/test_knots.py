@@ -1,4 +1,4 @@
-"""Presentation validation, normalization, and the text grammar."""
+"""Presentations valid by construction, normalization, and the text grammar."""
 
 from math import gcd
 
@@ -11,6 +11,7 @@ from crosscap.knots import (
     UNKNOT,
     CableKnot,
     ExternalKnot,
+    InvalidPresentationError,
     KnotGrammarError,
     PropertyFlags,
     TorusKnot,
@@ -18,7 +19,8 @@ from crosscap.knots import (
 )
 
 nonzero_ints = st.integers(min_value=-60, max_value=60).filter(lambda n: n != 0)
-torus_params = st.builds(TorusParams, nonzero_ints, nonzero_ints)
+coprime_pairs = st.tuples(nonzero_ints, nonzero_ints).filter(lambda ab: gcd(*ab) == 1)
+torus_params = coprime_pairs.map(lambda ab: TorusParams(*ab))
 tri_state = st.sampled_from((None, True, False))
 
 
@@ -32,58 +34,98 @@ def cable_over(patterns, companion):
     return companion
 
 
-# Presentations need not be valid to round-trip.  Each extension wraps up to
-# six cables, so with five levels the cables nest up to 30 deep.
-presentations = st.recursive(
-    st.one_of(
-        st.just(UNKNOT),
-        st.builds(TorusKnot, torus_params),
-        st.builds(
-            ExternalKnot,
-            st.from_regex(r"[A-Za-z0-9_.-]+", fullmatch=True),
-            st.builds(PropertyFlags, tri_state, tri_state),
+# Only valid presentations can be built: cables wind at least twice around
+# knotted companions.  Each extension wraps up to six cables, so with five
+# levels the cables nest up to 30 deep.
+knotted = st.one_of(
+    st.builds(TorusKnot, torus_params).filter(lambda k: not knots.is_trivial(k)),
+    st.builds(
+        ExternalKnot,
+        st.from_regex(r"[A-Za-z0-9_.-]+", fullmatch=True),
+        st.builds(PropertyFlags, tri_state, tri_state),
+    ),
+)
+cable_params = torus_params.filter(lambda t: abs(t.winding) >= 2)
+presentations = st.one_of(
+    st.just(UNKNOT),
+    st.builds(TorusKnot, torus_params),
+    st.recursive(
+        knotted,
+        lambda inner: st.builds(
+            cable_over, st.lists(cable_params, min_size=1, max_size=6), inner
         ),
+        max_leaves=30,
     ),
-    lambda inner: st.builds(
-        cable_over, st.lists(torus_params, min_size=1, max_size=6), inner
-    ),
-    max_leaves=30,
 )
 
 
 class TestValidate:
+    """Each constructor refuses what breaks its rules; parse_knot locates it."""
+
+    def refusal(self, text):
+        with pytest.raises(InvalidPresentationError) as info:
+            knots.parse_knot(text)
+        return str(info.value)
+
     def test_coprime_torus_ok(self):
-        assert knots.validate(torus(3, 5)).ok
+        assert knots.parse_knot("torus(3,5)") == TorusKnot(TorusParams(3, 5))
 
     def test_gcd_violation(self):
-        result = knots.validate(torus(4, 6))
-        assert not result.ok
-        assert "gcd != 1" in result.first.message
+        with pytest.raises(InvalidPresentationError, match="^gcd != 1$"):
+            TorusParams(4, 6)
+        assert self.refusal("torus(4,6)") == "knot: gcd != 1"
+        assert self.refusal("cable(4,3; cable(4,6; torus(2,3)))") == (
+            "knot.companion: gcd != 1"
+        )
 
     def test_cable_over_unknot(self):
-        result = knots.validate(CableKnot(TorusParams(4, 3), UNKNOT))
-        assert not result.ok
-        assert "companion must be knotted" in result.first.message
-        assert result.first.location == "knot.companion"
+        for companion in (UNKNOT, torus(1, 5), torus(-7, 1)):
+            with pytest.raises(InvalidPresentationError, match="must be knotted"):
+                CableKnot(TorusParams(4, 3), companion)
+        for text in (
+            "cable(4,3; unknot)", "cable(2,1; torus(1,5))", "cable(3,2; torus(1,5))"
+        ):
+            assert self.refusal(text) == "knot.companion: companion must be knotted"
 
     def test_cable_winding_too_small(self):
-        result = knots.validate(CableKnot(TorusParams(1, 3), torus(2, 3)))
-        assert not result.ok
-        assert "|winding| >= 2" in result.first.message
+        for winding in (1, -1):
+            with pytest.raises(InvalidPresentationError, match=r"\|winding\| >= 2"):
+                CableKnot(TorusParams(winding, 3), torus(2, 3))
+        assert self.refusal("cable(1,3; torus(2,3))") == (
+            "knot: cable winding must satisfy |winding| >= 2"
+        )
 
     def test_zero_entry(self):
-        assert not knots.validate(torus(0, 5)).ok
+        for a, b in ((0, 5), (5, 0), (0, 0)):
+            with pytest.raises(InvalidPresentationError, match="must be nonzero"):
+                TorusParams(a, b)
+        assert self.refusal("torus(0,5)") == (
+            "knot: winding and meridional must be nonzero"
+        )
+        with pytest.raises(InvalidPresentationError, match="nonempty name"):
+            ExternalKnot("")
 
     def test_nested_violation_located(self):
-        inner = CableKnot(TorusParams(4, 3), UNKNOT)
-        outer = CableKnot(TorusParams(6, 5), inner)
-        result = knots.validate(outer)
-        assert result.first.location == "knot.companion.companion"
+        assert self.refusal("cable(6,5; cable(4,3; unknot))") == (
+            "knot.companion.companion: companion must be knotted"
+        )
+        # A cable's own rules are checked after its companion is built.
+        assert self.refusal("cable(1,3; cable(4,3; unknot))") == (
+            "knot.companion.companion: companion must be knotted"
+        )
+        # A part's text is read to its end before the part is built.
+        with pytest.raises(KnotGrammarError):
+            knots.parse_knot("torus(4,6")
 
     @given(a=nonzero_ints, b=nonzero_ints)
     def test_fuzz_gcd_detection(self, a, b):
-        ok = knots.validate(torus(a, b)).ok
-        assert ok == (gcd(abs(a), abs(b)) == 1)
+        try:
+            TorusParams(a, b)
+        except InvalidPresentationError:
+            refused = True
+        else:
+            refused = False
+        assert refused == (gcd(abs(a), abs(b)) != 1)
 
 
 class TestNormalize:
@@ -139,8 +181,14 @@ class TestPredicates:
             knots.winding_is_even(ExternalKnot("6_1"))
 
     def test_predicates_require_validity(self):
-        with pytest.raises(knots.InvalidPresentationError):
-            knots.is_trivial(torus(4, 6))
+        class Foreign(knots.KnotPresentation):
+            pass
+
+        for predicate in (knots.is_trivial, knots.winding_is_even):
+            with pytest.raises(InvalidPresentationError, match="unrecognized .* Foreign"):
+                predicate(Foreign())
+        with pytest.raises(InvalidPresentationError, match="unrecognized .* Foreign"):
+            CableKnot(TorusParams(4, 3), Foreign())
 
 
 class TestGrammar:
