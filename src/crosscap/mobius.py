@@ -28,10 +28,13 @@ and triangles.
 
 from __future__ import annotations
 
+import io
 import os
 import re
+import warnings
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from itertools import islice
 from math import gcd, inf, pi
 from typing import Callable, NamedTuple, Optional
 
@@ -434,24 +437,25 @@ def _core_multiplicity(mesh: ImmersedMobiusMesh, s: SweepParams) -> int:
     """Count, per slice, the chords whose polyline passes through the core
     point of that slice, and return the smallest count.  The sweep puts
     every chord through the core, so a slice counts at most p chords and
-    the result is p exactly when every slice has all p sheets."""
+    the result is p exactly when every slice has all p sheets.
+
+    The distances are computed on coordinate columns.  Each sum over the
+    three coordinates adds x, y, then z, the order in which sum(axis=-1)
+    adds a row, and the root is taken after the minimum over each chord's
+    segments, which the monotone root does not change."""
     n_theta, p, n_chord = s.theta_steps, s.p, s.chord_steps
-    pts = mesh.vertices.reshape(n_theta, p, n_chord, 3)
-    seg_a = pts[:, :, :-1, :]
-    seg_b = pts[:, :, 1:, :]
     theta = 2.0 * pi * np.arange(n_theta) / n_theta
-    core = np.stack(
-        [RING_RADIUS * np.cos(theta), RING_RADIUS * np.sin(theta),
-         np.zeros(n_theta)],
-        axis=1,
-    )[:, None, None, :]
-    seg = seg_b - seg_a
-    to_core = core - seg_a
-    seg_len2 = (seg * seg).sum(axis=-1)
-    t_par = np.clip((to_core * seg).sum(axis=-1) / seg_len2, 0.0, 1.0)
-    closest = seg_a + seg * t_par[..., None]
-    dist = np.sqrt(((closest - core) ** 2).sum(axis=-1))
-    chord_dist = dist.min(axis=2)
+    core = [RING_RADIUS * np.cos(theta), RING_RADIUS * np.sin(theta), np.zeros(n_theta)]
+    columns = np.ascontiguousarray(mesh.vertices.T).reshape(3, n_theta, p, n_chord)
+    start = columns[..., :-1]
+    seg = columns[..., 1:] - start
+    to_core = [c[:, None, None] - a for c, a in zip(core, start)]
+    seg_len2 = (seg[0] * seg[0] + seg[1] * seg[1]) + seg[2] * seg[2]
+    along = (to_core[0] * seg[0] + to_core[1] * seg[1]) + to_core[2] * seg[2]
+    t_par = np.clip(along / seg_len2, 0.0, 1.0)
+    off = [a + d * t_par - c[:, None, None] for a, d, c in zip(start, seg, core)]
+    dist2 = (off[0] * off[0] + off[1] * off[1]) + off[2] * off[2]
+    chord_dist = np.sqrt(dist2.min(axis=2))
     eps = 1e-9 * RING_RADIUS
     return int((chord_dist < eps).sum(axis=1).min())
 
@@ -808,19 +812,20 @@ def export_mesh(mesh: ImmersedMobiusMesh, format: str) -> str:
     then one right-aligned slot per field, each followed by a space or the
     newline.  A slot's first column holds the sign; once the padding between
     them is dropped, the sign touches the digits.  The slot width is taken
-    from the data: the digits of the largest integer part, or the longest
-    string printed by Python (below).
+    from the data: the digits of the largest integer part.  Index digits
+    are computed in the narrowest unsigned type that holds the largest.
 
     "%.9f" prints the exact product |x| * 10**9 rounded half to even, as
     an integer part and nine fraction digits.  The float y = fl(|x| * 1e9)
     is within spacing(y) / 2 of that product.  So wherever y lies more than
     spacing(y) from the nearest half-integer, the exact product lies
     strictly on the same side of it, and rint(y) is the correct integer.
-    The test fails, and the element takes Python's own "%.9f", only near a
-    tie, for every |x| >= 2**52 / 1e9 (where spacing(y) >= 1), and for
-    values that are not finite or overflow; that string goes into the same
-    slot.  For |x| < 4 the band covers under 10**-6 of each unit step; none
-    of the 537,600 coordinates of four benchmark-sized bands falls in it.
+    The test fails only near a tie, for every |x| >= 2**52 / 1e9 (where
+    spacing(y) >= 1), and for values that are not finite or overflow; the
+    row of such an element is printed by Python's own "%.9f" and takes the
+    place of its slots, so the long string of 1e300 widens no other row.
+    For |x| < 4 the band covers under 10**-6 of each unit step; none of
+    the 537,600 coordinates of four benchmark-sized bands falls in it.
     """
     fmt = format.lower()
     if fmt == "off":
@@ -838,23 +843,29 @@ def export_mesh(mesh: ImmersedMobiusMesh, format: str) -> str:
     return text or "\n"  # an empty OBJ file is one empty line
 
 
-_Slots = tuple[int, Callable[[np.ndarray], None]]  # (width, fill the cells)
+# (width, fill the cells, the (row, text) of each row that Python prints)
+_Slots = tuple[int, Callable[[np.ndarray], None], list[tuple[int, bytes]]]
 _ZERO, _MINUS = ord("0"), np.uint8(ord("-"))
 
 
 def _rows(tag: str, values: np.ndarray, slots: Callable[[np.ndarray], _Slots]) -> str:
     """One text row per row of values, laid out as export_mesh describes."""
-    width, fill = slots(values)
+    width, fill, printed = slots(values)
     rows, fields = values.shape
-    lead = len(tag) + 1 if tag else 0
-    buffer = np.zeros((rows, lead + fields * (width + 1)), np.uint8)
-    if tag:
-        buffer[:, :lead] = np.frombuffer(f"{tag} ".encode(), np.uint8)
-    cells = buffer[:, lead:].reshape(rows, fields, width + 1)  # a view
+    lead = f"{tag} ".encode() if tag else b""
+    buffer = np.zeros((rows, len(lead) + fields * (width + 1)), np.uint8)
+    buffer[:, :len(lead)] = np.frombuffer(lead, np.uint8)
+    cells = buffer[:, len(lead):].reshape(rows, fields, width + 1)  # a view
     fill(cells[..., :width])
     cells[:, :-1, width] = ord(" ")
     cells[:, -1, width] = ord("\n")
-    return buffer[buffer != 0].tobytes().decode("ascii")
+    # Drop the 0 pad bytes, with each printed row in place of its slots.
+    pieces, start = [], 0
+    for row, text in printed:
+        pieces += [buffer[start:row].tobytes().translate(None, b"\0"), lead + text]
+        start = row + 1
+    pieces.append(buffer[start:].tobytes().translate(None, b"\0"))
+    return b"".join(pieces).decode("ascii")
 
 
 def _write_digits(cells: np.ndarray, n: np.ndarray, always: int) -> None:
@@ -873,108 +884,158 @@ def _write_digits(cells: np.ndarray, n: np.ndarray, always: int) -> None:
 
 
 def _integer_slots(n: np.ndarray) -> _Slots:
-    """"%d" slots: a sign column, then the digits of |n|."""
+    """"%d" slots: a sign column, then the digits of |n|, computed in the
+    narrowest unsigned type that holds them."""
     # abs wraps the most negative value to itself, which reads correctly
     # as unsigned of the same size.
-    magnitude = np.abs(n).astype(f"u{n.itemsize}")
+    magnitude = np.abs(n).view(f"u{n.itemsize}")
+    top = magnitude.max(initial=0)
+    magnitude = magnitude.astype(np.min_scalar_type(top))
 
     def fill(cells: np.ndarray) -> None:
         cells[..., 0] = (n < 0) * _MINUS
         _write_digits(cells[..., 1:], magnitude, 1)
 
-    return 1 + len(str(magnitude.max(initial=0))), fill
+    return 1 + len(str(top)), fill, []
 
 
 def _fixed_slots(x: np.ndarray) -> _Slots:
     """"%.9f" slots: a sign column, the integer digits, "." and nine
-    fraction digits, except where export_mesh's exactness test fails."""
+    fraction digits.  A row with an element that fails export_mesh's
+    exactness test is printed by Python's "%.9f" instead, so a long string
+    such as that of 1e300 widens its own row only."""
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = np.abs(x) * 1e9
         exact = np.abs(scaled - np.floor(scaled) - 0.5) > np.spacing(scaled)
-    rare = np.flatnonzero(~exact)
-    rare_text = [b"%.9f" % v for v in x.ravel()[rare].tolist()]
+    rare = np.unique(np.flatnonzero(~exact) // x.shape[1])  # rows, in order
+    printed = [(row, b" ".join([b"%.9f" % v for v in values]) + b"\n")
+               for row, values in zip(rare.tolist(), x[rare].tolist())]
     scaled[~exact] = 0.0
     n = np.rint(scaled).astype(np.uint64)  # below 2**52 where exact
     whole = n // 10**9
     fraction = (n - whole * 10**9).astype(np.uint32)
     whole = whole.astype(np.uint32)
-    width = max([11 + len(str(whole.max(initial=0))), *map(len, rare_text)])
 
     def fill(cells: np.ndarray) -> None:
-        cells[..., 0] = (np.signbit(x) & exact) * _MINUS
+        cells[..., 0] = np.signbit(x) * _MINUS
         _write_digits(cells[..., 1:-10], whole, 1)
         cells[..., -10] = ord(".")
         _write_digits(cells[..., -9:], fraction, 9)
-        for index, text in zip(zip(*np.unravel_index(rare, x.shape)), rare_text):
-            cells[index] = np.frombuffer(text.rjust(width, b"\0"), np.uint8)
 
-    return width, fill
+    return 11 + len(str(whole.max(initial=0))), fill, printed
 
 
 _NOT_TRIANGLES = "only triangle faces are supported"
 _OBJ_FACE = np.dtype([("tag", "U1"), ("index", np.int32, (3,))])
-
-
-def _read_columns(
-    rows: list[str], columns: tuple[int, ...], dtype: type, comments: Optional[str]
-) -> np.ndarray:
-    """The given whitespace-separated columns of each row, converted by
-    numpy's C text reader; a row may have more columns, which are not read."""
-    if not rows:
-        return np.empty((0, len(columns)), dtype)
-    return np.loadtxt(rows, dtype=dtype, comments=comments, usecols=columns, ndmin=2)
+_BLANKS = np.frombuffer(b" \t\v\f", np.uint8)  # may indent a line or end its tag
 
 
 def parse_mesh_text(text: str) -> tuple[np.ndarray, np.ndarray]:
     """Read OFF or OBJ text back into (vertices, triangles) arrays; the face
     count must fit the triangle budget before any row is converted.
 
-    A vertex row gives its first three numbers.  A face row lists exactly
-    three vertex indices: "3 i j k" in OFF, maybe followed by a color, or
-    "f i j k" in OBJ, where an index may carry /texture/normal references.
-    OBJ skips other lines and trailing # comments; an OFF body has none.
-    When numpy's reader fails on face rows, a recount of their fields tells
-    a non-triangle face from a bad number.
+    A line ends at "\n", "\r" or "\r\n"; blank lines and the blanks that
+    indent a line are skipped.  The first nonblank line "OFF" opens an OFF
+    file: a line of vertex and face counts, then exactly that many vertex
+    and face rows.  A vertex row gives its first three numbers.  A face
+    row lists exactly three vertex indices: "3 i j k" in OFF, maybe
+    followed by a color, or "f i j k" in OBJ, where an index may carry
+    /texture/normal references.  OBJ skips other lines and trailing #
+    comments; an OFF body has none, and nothing may follow its counted rows.
+
+    Each block of rows is read by one np.loadtxt over one text stream, so
+    no line becomes a Python object outside numpy's reader.  An OFF file
+    is one stream: its header lines, then its vertex and face rows, split
+    by max_rows.  An OBJ file is scanned in numpy over its bytes: a line's
+    tag is its first nonblank byte when a blank or the end of the line
+    follows it.  The "v" lines and the "f" lines are each gathered into
+    one block, one slice per run of consecutive lines, so the blocks of an
+    exported file are two slices.  When numpy's reader fails on face rows,
+    a recount of their fields tells a non-triangle face from a bad number.
     """
-    lines = list(filter(None, map(str.strip, text.splitlines())))
-    if not lines:
+    first_line = re.match(r"\s*([^\r\n]*)", text)[1].rstrip()
+    if not first_line:
         raise ValueError("empty mesh file")
-    if lines[0] == "OFF":
-        counts = lines[1].split() if len(lines) > 1 else []
-        if len(counts) < 2:
-            raise ValueError("OFF header needs vertex and face counts")
-        n_verts, n_faces = int(counts[0]), int(counts[1])
-        _check_triangle_budget(n_faces, "mesh file has")
-        vertex_rows = lines[2:2 + n_verts]
-        face_rows = lines[2 + n_verts:2 + n_verts + n_faces]
-        if len(vertex_rows) != n_verts or len(face_rows) != n_faces:
-            raise ValueError("OFF body shorter than its header counts")
-        vertices = _read_columns(vertex_rows, (0, 1, 2), np.float64, None)
-        try:
-            faces = _read_columns(face_rows, (0, 1, 2, 3), np.int32, None)
-        except ValueError:
-            if any(len(row.split()) < 4 for row in face_rows):
-                raise ValueError(_NOT_TRIANGLES) from None
-            raise
-        if (faces[:, 0] != 3).any():
-            raise ValueError(_NOT_TRIANGLES)
-        return vertices, np.ascontiguousarray(faces[:, 1:])
-    tagged: dict[str, list[str]] = {"v": [], "f": []}
-    for line in lines:  # route by the first whitespace-separated token
-        rows = tagged.get(line[0])
-        if rows is not None and (len(line) == 1 or line[1] == " " or line[1].isspace()):
-            rows.append(line)
-    vertex_rows, face_rows = tagged["v"], tagged["f"]
-    _check_triangle_budget(len(face_rows), "mesh file has")
-    if not vertex_rows or not face_rows:
-        raise ValueError("not an OFF or OBJ triangle mesh")
-    vertices = _read_columns(vertex_rows, (1, 2, 3), np.float64, "#")
-    if "/" in text:  # drop the /texture/normal references of face indices
-        face_rows = re.sub(r"(?<=\S)/\S*", "", "\n".join(face_rows)).split("\n")
+    if first_line == "OFF":
+        return _parse_off(text)
+    return _parse_obj(text)
+
+
+def _parse_off(text: str) -> tuple[np.ndarray, np.ndarray]:
+    stream = io.StringIO(text, newline=None)  # reads "\r" and "\r\n" as "\n"
+    header = list(islice(filter(str.strip, stream), 2))  # "OFF", then the counts
+    counts = header[1].split() if len(header) > 1 else []
+    if len(counts) < 2:
+        raise ValueError("OFF header needs vertex and face counts")
+    n_verts, n_faces = int(counts[0]), int(counts[1])
+    _check_triangle_budget(n_faces, "mesh file has")
+    # A negative count reads no rows and fails the length check below.
+    vertices = _load_rows(stream, max(n_verts, 0), usecols=(0, 1, 2))
+    face_start = stream.tell()
     try:
-        faces = np.loadtxt(face_rows, dtype=_OBJ_FACE, comments="#", ndmin=1)
+        faces = _load_rows(stream, max(n_faces, 0), dtype=np.int32, usecols=(0, 1, 2, 3))
     except ValueError:
-        if any(len(row.split("#", 1)[0].split()) != 4 for row in face_rows):
+        stream.seek(face_start)
+        if any(len(row.split()) < 4 for row in islice(filter(str.strip, stream), n_faces)):
+            raise ValueError(_NOT_TRIANGLES) from None
+        raise
+    if len(vertices) != n_verts or len(faces) != n_faces:
+        raise ValueError("OFF body shorter than its header counts")
+    if stream.read().strip():
+        raise ValueError("OFF body longer than its header counts")
+    if (faces[:, 0] != 3).any():
+        raise ValueError(_NOT_TRIANGLES)
+    return vertices, np.ascontiguousarray(faces[:, 1:])
+
+
+def _load_rows(stream: io.StringIO, rows: int, **kwargs) -> np.ndarray:
+    """np.loadtxt over the next `rows` nonblank lines of stream; an OFF
+    body has no comments."""
+    with warnings.catch_warnings():
+        # numpy warns that blank lines do not count towards max_rows, and
+        # of a block with no rows; both are what the OFF reader wants.
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(stream, comments=None, ndmin=2, max_rows=rows, **kwargs)
+
+
+def _parse_obj(text: str) -> tuple[np.ndarray, np.ndarray]:
+    raw = text.encode()
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    raw += b"\n"  # so that every line ends in one
+    data = np.frombuffer(raw, np.uint8)
+    ends = np.flatnonzero(data == ord("\n"))
+    starts = np.concatenate([[0], ends[:-1] + 1])
+    first = starts.copy()  # each line's first nonblank byte, or its "\n"
+    indented = np.flatnonzero(np.isin(data[starts], _BLANKS))
+    if len(indented):  # move each to the end of its run of blanks
+        blank = np.isin(data, _BLANKS)
+        run_ends = np.flatnonzero(blank[:-1] > blank[1:]) + 1
+        first[indented] = run_ends[np.searchsorted(run_ends, first[indented])]
+    after = data.take(first + 1, mode="clip")  # clipped only past a final empty line
+    tag = np.where(np.isin(after, _BLANKS) | (after == ord("\n")), data[first], 0)
+    is_face = tag == ord("f")
+    n_faces = int(np.count_nonzero(is_face))
+    _check_triangle_budget(n_faces, "mesh file has")
+    is_vertex = tag == ord("v")
+    if not n_faces or not is_vertex.any():
+        raise ValueError("not an OFF or OBJ triangle mesh")
+
+    def gather(lines: np.ndarray) -> str:
+        """The given lines, one slice of raw per run of consecutive lines."""
+        bounds = np.flatnonzero(np.diff(lines, prepend=False, append=False))
+        runs = zip(starts[bounds[::2]].tolist(), (ends[bounds[1::2] - 1] + 1).tolist())
+        return b"".join([raw[begin:end] for begin, end in runs]).decode()
+
+    vertices = np.loadtxt(io.StringIO(gather(is_vertex)), usecols=(1, 2, 3),
+                          comments="#", ndmin=2)
+    face_rows = gather(is_face)
+    if "/" in face_rows:  # drop the /texture/normal references of face indices
+        face_rows = re.sub(r"(?<=\S)/\S*", "", face_rows)
+    try:
+        faces = np.loadtxt(io.StringIO(face_rows), dtype=_OBJ_FACE, comments="#", ndmin=1)
+    except ValueError:
+        if any(len(row.split("#", 1)[0].split()) != 4 for row in face_rows.splitlines()):
             raise ValueError(_NOT_TRIANGLES) from None
         raise
     return vertices, faces["index"] - 1
@@ -1005,6 +1066,8 @@ def rebuild_for_file(
     mesh = build_mobius(params)
     if not np.array_equal(mesh.triangles, triangles):
         raise ValueError("triangle list does not match the swept construction")
-    if not np.allclose(mesh.vertices, vertices, atol=2e-9, rtol=0.0):
+    gap = mesh.vertices - vertices
+    # NaN fails the comparison, so a file with NaN is refused as well.
+    if not np.abs(gap, out=gap).max() <= 2e-9:
         raise ValueError("vertex coordinates do not match the swept construction")
     return mesh, params

@@ -213,6 +213,21 @@ class TestMeshCommands:
         assert code == 2
         assert "vertex and face counts" in err
 
+    def test_off_body_longer_than_header_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "x.off"
+        run(
+            capsys, "build-mobius", "--p", "2", "--q", "3", "--theta-steps", "64",
+            "--out", str(target),
+        )
+        with target.open("a") as handle:
+            handle.write("3 0 5 9\n1 2 3\n")
+        code, out, err = run(
+            capsys, "verify-mesh", "--p", "2", "--q", "3", "--out", str(target)
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "crosscap: OFF body longer than its header counts\n"
+
     @pytest.mark.parametrize("name", ["band.off", "band.obj"])
     def test_mesh_file_over_budget_exits_2(self, capsys, tmp_path, monkeypatch, name):
         target = tmp_path / name

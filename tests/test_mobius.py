@@ -425,6 +425,34 @@ def parsed_or_error(parse, text):
         return str(exc)
 
 
+_OBJ_OTHER_LINES = ["vn 0 0 1", "vt 0.5 0.5", "o band", "g side", "s off", "# made by hand"]
+_BLANKS = ["", " ", "\t", " \t "]
+
+
+def relaid_mesh_text(rnd, text, fmt):
+    """The rows of an exported file in another layout that a reader must
+    take the same way: CRLF line ends, blank lines, blanks and tabs around
+    a row, and for OBJ v and f rows interleaved (each kind in order),
+    other statements and trailing # comments."""
+    lines = text.splitlines()
+    if fmt == "obj":
+        if rnd.random() < 0.5:
+            kinds = [[ln for ln in lines if ln[0] == tag][::-1] for tag in "vf"]
+            lines = []
+            while any(kinds):
+                rows = rnd.choice([rows for rows in kinds if rows])
+                lines.append(rows.pop())
+        lines = [ln + " # note" if rnd.random() < 0.2 else ln for ln in lines]
+        for _ in range(rnd.randrange(4)):
+            lines.insert(rnd.randrange(len(lines) + 1), rnd.choice(_OBJ_OTHER_LINES))
+    lines = [rnd.choice(_BLANKS) + ln + rnd.choice(_BLANKS) if rnd.random() < 0.3 else ln
+             for ln in lines]
+    for _ in range(rnd.randrange(4)):
+        lines.insert(rnd.randrange(len(lines) + 1), rnd.choice(_BLANKS))
+    newline = rnd.choice(["\n", "\r\n"])
+    return newline.join(lines) + newline
+
+
 def assert_same_arrays(got, want):
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape
@@ -1061,8 +1089,8 @@ _NOT_TRIANGLES = "only triangle faces are supported"
 
 # (text, what parse_mesh_text gives: arrays, or an error pattern with ""
 # for any message, whether the per-line reference agrees).  The reference
-# misread both cases marked False: it truncated the OBJ quad and turned 4
-# colored vertices into 8.
+# misreads the cases marked False: it truncates the OBJ quad, turns 4
+# colored vertices into 8 and drops the rows past an OFF header's counts.
 MESH_FILE_CASES = [
     pytest.param(_OBJ_TRIANGLE + "v 1 1 0\nf 1 2 3 4\n", _NOT_TRIANGLES, False,
                  id="obj-quad"),
@@ -1097,6 +1125,8 @@ MESH_FILE_CASES = [
     pytest.param(_OFF_TRIANGLE + "# a comment\n3 0 1 2\n", _NOT_TRIANGLES, True,
                  id="off-comment-line-among-faces"),
     pytest.param(_OFF_TRIANGLE, "shorter than its header", True, id="off-short-body"),
+    pytest.param(_OFF_TRIANGLE + "3 0 1 2\n3 0 5 9\n\n1 2 3\n", "longer than its header",
+                 False, id="off-long-body"),
     pytest.param(_OBJ_TRIANGLE + "f 1 2 x\n", "", True, id="obj-bad-index"),
     pytest.param(_OBJ_TRIANGLE + "f 1/1 /2 2 3\n", "", True, id="obj-index-without-vertex"),
 ]
@@ -1187,6 +1217,47 @@ class TestMeshFormats:
             assert got == want
         else:
             assert_same_arrays(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), fmt=st.sampled_from(["off", "obj"]))
+    def test_layout_matches_per_line_reference(self, data, fmt):
+        mesh, _ = draw_small_sweep(data)
+        rnd = data.draw(st.randoms(use_true_random=False), label="layout")
+        text = relaid_mesh_text(rnd, mobius.export_mesh(mesh, fmt), fmt)
+        got = parsed_or_error(mobius.parse_mesh_text, text)
+        want = parsed_or_error(reference_parse_mesh_text, text)
+        assert isinstance(got, str) == isinstance(want, str)
+        if not isinstance(want, str):
+            assert_same_arrays(got, want)
+            assert_same_arrays(got, mobius.parse_mesh_text(mobius.export_mesh(mesh, fmt)))
+
+    def test_wide_value_widens_its_own_row(self):
+        # One value printed by Python's "%.9f" (311 characters for 1e300)
+        # must not widen the slots of the other rows.
+        vertices = np.random.default_rng(7).uniform(-3.0, 3.0, (20_000, 3))
+        peaks = []
+        for wide in (False, True):
+            mesh = ImmersedMobiusMesh(
+                vertices=vertices.copy(), triangles=np.empty((0, 3), dtype=np.int32)
+            )
+            if wide:
+                mesh.vertices[12_345, 1] = 1e300
+            tracemalloc.start()
+            try:
+                text = mobius.export_mesh(mesh, "obj")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert text == percent_format_export(mesh, "obj")
+        assert peaks[1] < 2 * peaks[0]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rebuild_refuses_nonfinite_coordinates(self, bad):
+        mesh, _ = small_mesh(2, 3, theta=24)
+        verts, tris = mobius.parse_mesh_text(mobius.export_mesh(mesh, "off"))
+        verts[5, 2] = bad
+        with pytest.raises(ValueError, match="vertex coordinates do not match"):
+            mobius.rebuild_for_file(2, 3, verts, tris)
 
     def test_rounding_band_prints_as_python(self):
         found = near_ties()
