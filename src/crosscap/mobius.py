@@ -75,9 +75,13 @@ def max_triangle_budget() -> int:
 class SweepParams:
     """Boundary class and resolution of the swept band.
 
-    p is half the boundary winding (the number of chords per disk), q the
-    meridional coefficient with gcd(2p, q) = 1, theta_steps the number of
-    sweep slices, chord_steps the number of samples along each chord.
+    p >= 1 is half the boundary winding (the number of chords per disk), q
+    the meridional coefficient, nonzero with gcd(2p, q) = 1, theta_steps >= 8
+    the number of sweep slices, chord_steps >= 2 the number of samples along
+    each chord.  A value that breaks a rule raises MeshParameterError when
+    it is built, so every SweepParams is a valid sweep.  build_mobius then
+    checks the triangle budget, read from the environment, and the
+    resolution floor theta_steps >= 4p|q| that measuring the band needs.
     """
 
     p: int
@@ -85,30 +89,23 @@ class SweepParams:
     theta_steps: int = 128
     chord_steps: int = 8
 
+    def __post_init__(self) -> None:
+        if self.p < 1:
+            raise MeshParameterError(f"p must be >= 1, got {self.p}")
+        if self.q == 0:
+            raise MeshParameterError("q must be nonzero")
+        if gcd(2 * self.p, abs(self.q)) != 1:
+            raise MeshParameterError(
+                f"gcd(2p, q) must be 1, got gcd({2 * self.p}, {abs(self.q)}) != 1"
+            )
+        if self.theta_steps < 8:
+            raise MeshParameterError(f"theta_steps must be >= 8, got {self.theta_steps}")
+        if self.chord_steps < 2:
+            raise MeshParameterError(f"chord_steps must be >= 2, got {self.chord_steps}")
+
     @property
     def triangle_count(self) -> int:
         return 2 * self.theta_steps * self.p * (self.chord_steps - 1)
-
-
-def validate_sweep(s: SweepParams) -> None:
-    if s.p < 1:
-        raise MeshParameterError(f"p must be >= 1, got {s.p}")
-    if s.q == 0:
-        raise MeshParameterError("q must be nonzero")
-    if gcd(2 * s.p, abs(s.q)) != 1:
-        raise MeshParameterError(
-            f"gcd(2p, q) must be 1, got gcd({2 * s.p}, {abs(s.q)}) != 1"
-        )
-    if s.theta_steps < 8:
-        raise MeshParameterError(f"theta_steps must be >= 8, got {s.theta_steps}")
-    if s.chord_steps < 2:
-        raise MeshParameterError(f"chord_steps must be >= 2, got {s.chord_steps}")
-    _check_triangle_budget(s.triangle_count, "mesh would have")
-    if s.theta_steps < 4 * s.p * abs(s.q):
-        raise MeshResolutionError(
-            f"theta_steps={s.theta_steps} cannot separate adjacent boundary "
-            f"points; need at least 4*p*|q| = {4 * s.p * abs(s.q)}"
-        )
 
 
 def _check_triangle_budget(count: int, subject: str) -> None:
@@ -234,7 +231,12 @@ def build_mobius(s: SweepParams) -> ImmersedMobiusMesh:
     comes back flipped.  Each quad splits along the diagonal from its
     (slice i, sample m) corner to its (slice i+1, sample m+1) corner.
     """
-    validate_sweep(s)
+    _check_triangle_budget(s.triangle_count, "mesh would have")
+    if s.theta_steps < 4 * s.p * abs(s.q):
+        raise MeshResolutionError(
+            f"theta_steps={s.theta_steps} cannot separate adjacent boundary "
+            f"points; need at least 4*p*|q| = {4 * s.p * abs(s.q)}"
+        )
     p, q, n_theta, n_chord = s.p, s.q, s.theta_steps, s.chord_steps
     theta = 2.0 * pi * np.arange(n_theta).reshape(-1, 1, 1) / n_theta
     alpha = (2.0 * pi * np.arange(p).reshape(-1, 1) + q * theta) / (2.0 * p)
@@ -424,13 +426,13 @@ def boundary_winding_angles(mesh: ImmersedMobiusMesh) -> tuple[float, float]:
 
 
 def max_edge_length(mesh: ImmersedMobiusMesh) -> float:
-    """The square root of the largest squared edge length."""
+    """The square root of the largest squared edge length; 0.0 without edges."""
     a, b = mesh._edge_table.edges.T
     x, y, z = mesh.vertices.T
     dx, dy, dz = x[a] - x[b], y[a] - y[b], z[a] - z[b]
     # (dx*dx + dy*dy) + dz*dz is the order in which sum(axis=1) adds a row,
     # and the root is monotone, so this is the longest edge length to the bit.
-    return float(np.sqrt((dx * dx + dy * dy + dz * dz).max()))
+    return float(np.sqrt((dx * dx + dy * dy + dz * dz).max(initial=0.0)))
 
 
 def _core_multiplicity(mesh: ImmersedMobiusMesh, s: SweepParams) -> int:
@@ -735,8 +737,6 @@ def _candidate_pairs(mesh: ImmersedMobiusMesh, s: SweepParams):
 def distance_to_core_circle(points: np.ndarray) -> np.ndarray:
     """Distance from each point to the core circle x^2 + y^2 = R^2, z = 0,
     R = RING_RADIUS."""
-    if not len(points):
-        return np.empty(0)
     radial = np.hypot(points[:, 0], points[:, 1]) - RING_RADIUS
     return np.hypot(radial, points[:, 2])
 
@@ -774,7 +774,7 @@ def verify_mesh(
         tol = 3.0 * max_edge_length(mesh)
     points = self_intersection_points(mesh, s)
     distances = distance_to_core_circle(points)
-    max_offcore = float(distances.max()) if len(distances) else 0.0
+    max_offcore = float(distances.max(initial=0.0))
 
     chi = euler_characteristic(mesh)
     orientable = is_orientable(mesh)
@@ -1046,23 +1046,19 @@ def rebuild_for_file(
 ) -> tuple[ImmersedMobiusMesh, SweepParams]:
     """Rebuild the swept mesh whose file contents were given, or fail.
 
-    Resolution is inferred from the counts (V = N*p*C and F = 2*N*p*(C-1)
-    force N*p = V - F/2); the rebuilt mesh must reproduce the file's
+    Resolution is inferred from the counts: V = N*p*C and F = 2*N*p*(C-1)
+    force N*p = V - F/2 columns, so F must be even, the columns a positive
+    multiple of p and V a multiple of the columns; SweepParams then refuses
+    an inferred N < 8 or C < 2.  The rebuilt mesh must reproduce the file's
     triangles exactly and its coordinates to printing precision.
     """
     if p < 1:
         raise MeshParameterError(f"p must be >= 1, got {p}")
     n_verts, n_faces = len(vertices), len(triangles)
-    if n_faces % 2 != 0:
-        raise ValueError("a swept band mesh has an even triangle count")
     columns = n_verts - n_faces // 2
-    if columns <= 0 or columns % p != 0:
+    if n_faces % 2 or columns < p or columns % p or n_verts % columns:
         raise ValueError("vertex/face counts do not match a sweep over this p")
-    n_theta = columns // p
-    if n_verts % columns != 0:
-        raise ValueError("vertex count is not a multiple of the column count")
-    n_chord = n_verts // columns
-    params = SweepParams(p=p, q=q, theta_steps=n_theta, chord_steps=n_chord)
+    params = SweepParams(p, q, columns // p, n_verts // columns)
     mesh = build_mobius(params)
     if not np.array_equal(mesh.triangles, triangles):
         raise ValueError("triangle list does not match the swept construction")

@@ -180,6 +180,32 @@ class TestMeshCommands:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("argv, budget, message", [
+        (("--q", "4"), None, "gcd(2p, q) must be 1, got gcd(4, 4) != 1"),
+        (("--q", "0"), None, "q must be nonzero"),
+        (("--p", "0"), None, "p must be >= 1, got 0"),
+        (("--theta-steps", "7"), None, "theta_steps must be >= 8, got 7"),
+        (("--chord-steps", "1"), None, "chord_steps must be >= 2, got 1"),
+        (("--q", "5", "--theta-steps", "32"), None,
+         "theta_steps=32 cannot separate adjacent boundary points; "
+         "need at least 4*p*|q| = 40"),
+        # Under the floor and over the budget: the budget is checked first.
+        (("--q", "5", "--theta-steps", "32"), "100",
+         "mesh would have 896 triangles, over the budget 100"),
+    ])
+    def test_invalid_sweep_exits_2_with_its_rule(
+        self, capsys, tmp_path, monkeypatch, argv, budget, message
+    ):
+        if budget is not None:
+            monkeypatch.setenv("CROSSCAP_MAX_MESH", budget)
+        target = tmp_path / "x.off"
+        # argparse keeps the last value of a repeated option.
+        code, out, err = run(
+            capsys, "build-mobius", "--p", "2", "--q", "3", *argv, "--out", str(target)
+        )
+        assert (code, out, err) == (2, "", f"crosscap: {message}\n")
+        assert not target.exists()
+
     def test_verify_against_wrong_q_exits_2(self, capsys, tmp_path):
         target = tmp_path / "band.off"
         run(

@@ -552,6 +552,26 @@ class TestParams:
         with pytest.raises(MeshParameterError):
             mobius.max_triangle_budget()
 
+    @pytest.mark.parametrize("args, message", [
+        ((0, 3, 24, 3), "p must be >= 1, got 0"),
+        ((2, 0, 24, 3), "q must be nonzero"),
+        ((2, 4, 24, 3), "gcd(2p, q) must be 1, got gcd(4, 4) != 1"),
+        ((2, 3, 7, 3), "theta_steps must be >= 8, got 7"),
+        ((2, 3, 24, 1), "chord_steps must be >= 2, got 1"),
+    ], ids=["p", "q", "gcd", "theta_steps", "chord_steps"])
+    def test_rules_checked_when_built(self, args, message):
+        with pytest.raises(MeshParameterError) as raised:
+            SweepParams(*args)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("args", [(2, 4, 24, 3), (2, 0, 24, 3)])
+    def test_checks_cannot_be_handed_an_invalid_sweep(self, args):
+        mesh, _ = small_mesh(2, 3, theta=24)
+        with pytest.raises(MeshParameterError):
+            mobius.verify_mesh(mesh, SweepParams(*args))
+        with pytest.raises(MeshParameterError):
+            mobius.self_intersection_points(mesh, SweepParams(*args))
+
 
 class TestConstruction:
     def test_counts(self):
@@ -889,6 +909,18 @@ class TestVerification:
         bad = ImmersedMobiusMesh(vertices=mesh.vertices, triangles=bad_tris)
         with pytest.raises(MeshStructureError):
             mobius.verify_mesh(bad, params)
+
+    def test_edgeless_mesh_is_reported(self):
+        # No triangles: no edges, no boundary and no double points, so the
+        # longest edge and the off-core distance are both 0.0.
+        band, params = small_mesh(2, 3, theta=24)
+        mesh = ImmersedMobiusMesh(band.vertices, np.empty((0, 3), np.int32))
+        assert mobius.max_edge_length(mesh) == 0.0
+        report = mobius.verify_mesh(mesh, params)
+        assert report.failed_checks == (
+            "boundary_component_count", "orientable", "boundary_class"
+        )
+        assert report.max_offcore_selfintersection_distance == 0.0
 
     def test_tolerance_must_be_positive(self):
         mesh, params = small_mesh(1, 3, theta=16)
@@ -1297,6 +1329,25 @@ class TestMeshFormats:
         assert_same_arrays(got, expected)
         if reference_agrees:
             assert_same_arrays(got, reference_parse_mesh_text(text))
+
+    @pytest.mark.parametrize("vertex_count, face_count", [
+        (144, 193),  # odd F, though the other counts would fit
+        (146, 192),  # 50 columns: a multiple of p, not a divisor of V
+        (96, 192),   # 0 columns
+        (90, 192),   # a negative column count
+    ])
+    def test_rebuild_refuses_counts_of_no_sweep(self, vertex_count, face_count):
+        # The (2, 3, 24, 3) band has V = 144 and F = 192.
+        with pytest.raises(ValueError) as raised:
+            mobius.rebuild_for_file(
+                2, 3, np.zeros((vertex_count, 3)), np.zeros((face_count, 3), np.int32)
+            )
+        assert str(raised.value) == "vertex/face counts do not match a sweep over this p"
+
+    def test_rebuild_refuses_an_inferred_sweep_below_its_rules(self):
+        # V = 21 and F = 28 at p = 1 imply 7 slices of 3 samples.
+        with pytest.raises(MeshParameterError, match="theta_steps must be >= 8, got 7"):
+            mobius.rebuild_for_file(1, 3, np.zeros((21, 3)), np.zeros((28, 3), np.int32))
 
     def test_rebuild_rejects_wrong_parameters(self):
         mesh, _ = small_mesh(2, 3, theta=24)
