@@ -300,12 +300,10 @@ def _walk_cycles(boundary_edges: np.ndarray) -> list[list[int]]:
     """Cycles of the boundary, ordered by their smallest vertex, each
     starting there and stepping first to its smaller neighbor.
 
-    With two boundary edges at every boundary vertex, a dart (directed
-    boundary edge) v -> w continues as w -> x, x the other neighbor of w,
-    so each boundary cycle is two dart cycles, one per direction.  Pointer
-    jumping finds each dart's smallest dart ahead (its cycle's head) and
-    how far ahead it is; the cycles kept are those whose head leaves the
-    smallest vertex toward its smaller neighbor."""
+    Every boundary vertex has two boundary edges, so one walk over the
+    vertices in ascending order finds the cycles: each vertex not yet seen
+    starts one, which leaves every vertex by the neighbor it did not come
+    from."""
     ends = boundary_edges.ravel()
     vertices, slot, degree = np.unique(ends, return_inverse=True, return_counts=True)
     bad = degree[slot] != 2
@@ -315,31 +313,23 @@ def _walk_cycles(boundary_edges: np.ndarray) -> list[list[int]]:
             f"boundary vertex {ends[first]} has {degree[slot[first]]} boundary "
             "edges, expected 2"
         )
-    if not len(vertices):
-        return []
-    # Dart 2v + k runs from v to nbr[v, k], the neighbors in ascending order.
+    # Slot v's neighbors, in ascending order, are nbr[2v] and nbr[2v + 1].
     a, b = slot.reshape(-1, 2).T
     src, dst = np.concatenate([a, b]), np.concatenate([b, a])
-    nbr = dst[np.lexsort((dst, src))].reshape(-1, 2)
-    dart = np.arange(2 * len(vertices))
-    to = nbr.ravel()
-    step = 2 * to + (nbr[to, 0] == dart // 2)
-    head, ahead, span = dart, np.zeros_like(dart), 1
-    # Windows of span darts double each round; once no head improves over a
-    # window, none improves over a longer one, so every head is final.
-    while True:
-        head_there = head[step]
-        later = head_there < head
-        if not later.any():
-            break
-        ahead = np.where(later, span + ahead[step], ahead)
-        head = np.where(later, head_there, head)
-        step, span = step[step], 2 * span
-    kept = np.flatnonzero(head % 2 == 0)
-    # Each cycle from its head (ahead 0), then the darts farthest ahead of it.
-    kept = kept[np.lexsort((-ahead[kept], ahead[kept] != 0, head[kept]))]
-    cuts = np.flatnonzero(np.diff(head[kept])) + 1
-    return [cycle.tolist() for cycle in np.split(vertices[kept // 2], cuts)]
+    nbr = dst[np.lexsort((dst, src))].tolist()
+    ids, seen, cycles = vertices.tolist(), bytearray(len(vertices)), []
+    for start in range(len(ids)):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        cycle, prev, here = [ids[start]], start, nbr[2 * start]
+        while here != start:
+            seen[here] = 1
+            cycle.append(ids[here])
+            nxt = nbr[2 * here]
+            prev, here = here, nbr[2 * here + 1] if nxt == prev else nxt
+        cycles.append(cycle)
+    return cycles
 
 
 def euler_characteristic(mesh: ImmersedMobiusMesh) -> int:

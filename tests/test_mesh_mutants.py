@@ -68,6 +68,25 @@ def spike(m):
     return mutate
 
 
+def quad_corners(s):
+    """Vertices a, b, c, d = (10, 0, 5), (11, 0, 5), (10, 0, 6), (11, 0, 6)
+    of one quad, whose triangles are (a, b, d) and (a, d, c)."""
+    return [vertex_id(s, i, 0, m) for i, m in ((10, 5), (11, 5), (10, 6), (11, 6))]
+
+
+def coplanar_fold(s, vertices, monkeypatch):
+    """Move c to the centroid of (a, b, d): triangle (a, d, c) then lies
+    inside (a, b, d), facing the other way."""
+    a, b, c, d = quad_corners(s)
+    vertices[c] = (vertices[a] + vertices[b] + vertices[d]) / 3
+
+
+def through_link(s, vertices, monkeypatch):
+    """Reflect a through the midpoint of its link edge b-d."""
+    a, b, _, d = quad_corners(s)
+    vertices[a] = vertices[b] + vertices[d] - vertices[a]
+
+
 def boundary_lift(s, vertices, monkeypatch):
     """Move boundary vertex (10, 0, 0) 1e-6 outward along its meridian
     radius, off the torus."""
@@ -86,6 +105,8 @@ ROWS = [
     ("scan-drops-1-in-50", 9, None, (3, 5, 256, 8), drop_every_50th_pair),
     *[(f"fold-{edges}", 15, "immersion", (2, 3, 64, 16), fold(edges))
       for edges in (2.5, 3.0, 3.5)],
+    ("coplanar-fold", 15, "immersion", (2, 3, 64, 16), coplanar_fold),
+    ("through-link", 15, "immersion", (2, 3, 64, 16), through_link),
     *[(f"strand-swap-p{base[0]}-over-{len(slices)}", 2, OFFCORE, base, strand_swap(slices))
       for base in ((2, 3, 64, 8), (3, 5, 256, 8)) for slices in ((10,), (10, 11, 12))],
     *[(f"p1-spike-{m}", 4, OFFCORE, (1, 3, 64, 8), spike(m)) for m in (1, 6)],

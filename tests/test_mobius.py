@@ -208,7 +208,8 @@ def reference_is_orientable(triangles):
 
 
 def reference_walk_cycles(boundary_edges):
-    """Boundary cycles by walking a vertex -> neighbors dict."""
+    """Boundary cycles by walking a vertex -> neighbors dict, each from its
+    smallest vertex toward the smaller of that vertex's neighbors."""
     neighbors = {}
     for a, b in boundary_edges:
         neighbors.setdefault(int(a), []).append(int(b))
@@ -218,6 +219,7 @@ def reference_walk_cycles(boundary_edges):
             raise MeshStructureError(
                 f"boundary vertex {v} has {len(around)} boundary edges, expected 2"
             )
+        around.sort()
     cycles = []
     remaining = set(neighbors)
     while remaining:
@@ -242,6 +244,21 @@ def cycles_or_error(walk, boundary_edges):
         return walk(boundary_edges)
     except MeshStructureError as exc:
         return str(exc)
+
+
+@st.composite
+def disjoint_cycle_edges(draw):
+    """1-20 disjoint cycles of 3-50 distinct ids in [0, 10**6), as int32
+    (lo, hi) rows in random order."""
+    lengths = draw(st.lists(st.integers(3, 50), min_size=1, max_size=20), label="lengths")
+    ids = draw(st.lists(st.integers(0, 10**6 - 1), min_size=sum(lengths),
+                        max_size=sum(lengths), unique=True), label="ids")
+    rows, start = [], 0
+    for n in lengths:
+        cycle = ids[start:start + n]
+        rows += [sorted(pair) for pair in zip(cycle, cycle[1:] + cycle[:1])]
+        start += n
+    return np.array(draw(st.permutations(rows), label="order"), dtype=np.int32)
 
 
 def assert_topology_matches_reference(mesh):
@@ -1097,6 +1114,20 @@ class TestEdgeTable:
         assert cycles_or_error(mobius._walk_cycles, edges) == cycles_or_error(
             reference_walk_cycles, edges
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(edges=disjoint_cycle_edges())
+    @example(edges=np.array([[7, 7]], dtype=np.int32))
+    @example(edges=np.empty((0, 2), dtype=np.int32))
+    @example(edges=np.array([[4, 5], [0, 2], [3, 5], [1, 2], [3, 4], [0, 1]], dtype=np.int32))
+    def test_cycles_match_dict_walk_on_disjoint_cycles(self, edges):
+        assert mobius._walk_cycles(edges) == reference_walk_cycles(edges)
+
+    def test_single_long_cycle_matches_dict_walk(self):
+        edges = mobius.build_mobius(SweepParams(1, 3, 100_000, 2)).boundary_edges
+        cycles = mobius._walk_cycles(edges)
+        assert [len(cycle) for cycle in cycles] == [200_000]
+        assert cycles == reference_walk_cycles(edges)
 
 
 # Signed zeros, values that round to +-0 or sit near a 9-decimal rounding
