@@ -135,9 +135,9 @@ def _cmd_verify_mesh(args: argparse.Namespace) -> _Result:
 
     from . import mobius
 
-    text = Path(args.out).read_text()
-    vertices, triangles = mobius.parse_mesh_text(text)
+    vertices, triangles = mobius.parse_mesh_text(Path(args.out).read_text())
     mesh, params = mobius.rebuild_for_file(args.p, args.q, vertices, triangles)
+    del vertices, triangles  # matched by the rebuilt mesh, which verify reads
     report = mobius.verify_mesh(mesh, params, tol=args.tol)
     code = 0 if report.certified else CHECK_FAILED_EXIT
     return report.to_dict(), _mesh_report_lines(report), code

@@ -182,7 +182,8 @@ class ImmersedMobiusMesh:
 class _EdgeTable(NamedTuple):
     """Undirected edges of a triangle list, from one stable sort of their
     keys lo * V + hi; an index outside [0, V) would alias another edge, so
-    _build_edge_table rejects it.
+    _build_edge_table rejects it.  Each edge (lo, hi) is the divmod of its
+    key by V, read from the sorted keys where they change.
 
     Half-edge 3t + k runs from corner k of triangle t to corner (k + 1) % 3.
     by_edge lists the half-edge ids grouped by edge, in edge order, so edge
@@ -199,8 +200,11 @@ def _build_edge_table(triangles: np.ndarray, vertex_count: int) -> _EdgeTable:
     if len(triangles) and (triangles.min() < 0 or triangles.max() >= vertex_count):
         raise MeshStructureError("triangle index out of range")
     heads = triangles[:, [1, 2, 0]]
-    lo, hi = np.minimum(triangles, heads).ravel(), np.maximum(triangles, heads).ravel()
-    keys = lo.astype(np.int64) * vertex_count + hi
+    forward = triangles < heads
+    keys = np.minimum(triangles, heads).ravel().astype(np.int64)
+    keys *= vertex_count
+    keys += np.maximum(triangles, heads, out=heads).ravel()
+    del heads
     # int32 halves the table, which lives as long as its mesh.
     by_edge = np.argsort(keys, kind="stable").astype(np.int32)
     keys = keys[by_edge]
@@ -209,10 +213,13 @@ def _build_edge_table(triangles: np.ndarray, vertex_count: int) -> _EdgeTable:
     opens_edge[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=opens_edge[1:])
     starts = np.flatnonzero(opens_edge)
-    counts = np.diff(starts, append=len(keys))
-    first = by_edge[starts]
-    edges = np.stack([lo[first], hi[first]], axis=1).astype(np.int32, copy=False)
-    return _EdgeTable(edges, counts.astype(np.int32), by_edge, triangles < heads)
+    del opens_edge
+    counts = np.diff(starts, append=len(keys)).astype(np.int32)
+    keys = keys[starts]
+    del starts
+    edges = np.empty((len(keys), 2), dtype=np.int32)
+    np.divmod(keys, vertex_count, out=(edges[:, 0], edges[:, 1]))
+    return _EdgeTable(edges, counts, by_edge, forward)
 
 
 def build_mobius(s: SweepParams) -> ImmersedMobiusMesh:
@@ -347,29 +354,64 @@ def is_orientable(mesh: ImmersedMobiusMesh) -> bool:
 
     An interior edge asks its two triangles to keep or to flip their
     relative orientation: to flip (odd parity) when both traverse it in
-    the same direction.  A union-find over the triangles stores, per
-    triangle, link = 2 * parent + parity, the parity being its flip
-    relative to its parent.  At the start of each round every triangle
-    links to its root, so each edge moves onto the roots of its ends, with
-    the flip those roots need.  An edge whose ends share a root then asks
-    for no flip, or it refutes the orientation; either way it drops out.
-    An edge between two roots hooks the larger onto the smaller with that
-    flip, and stays until a later round finds its ends merged.
+    the same direction.  Consecutive triangles t - 1 and t that share an
+    interior edge are first contracted into runs, with one cumulative sum
+    (each triangle's run) and one XOR prefix (each triangle's flip against
+    the first of its run, composed along the joining edges).  Every
+    interior edge then joins the runs of its ends, its parity corrected by
+    both ends' flips.  The joining edges, and any other edge within a run,
+    become self loops, which must ask for no flip, and drop out.  The
+    contraction follows real interior edges only and re-checks every edge,
+    so it is exact for any triangle order; in the order of build_mobius a
+    run is one chord of one slice, and a shuffled order leaves runs of
+    about one triangle.
+
+    A union-find over the runs stores, per run, link = 2 * parent + parity,
+    the parity being its flip relative to its parent.  At the start of
+    each round every run links to its root, so each edge moves onto the
+    roots of its ends, with the flip those roots need.  An edge whose ends
+    share a root then asks for no flip, or it refutes the orientation;
+    either way it drops out.  An edge between two roots hooks the larger
+    onto the smaller with that flip, and stays until a later round finds
+    its ends merged.
 
     Many edges may hook one root in the same scatter, and numpy does not
     say which of the repeated writes wins; with parent and parity packed
-    in one int64, the winning write sets both.  Pointer jumping, link =
-    link[parent] ^ parity, then composes the parities along each path
-    until every triangle links to its root again."""
+    in one int32 (there are fewer than 2**30 runs wherever the int32
+    half-edge ids of the edge table fit), the winning write sets both.
+    Pointer jumping, link = link[parent] ^ parity, then composes the
+    parities along each path until every run links to its root again."""
     table = mesh._edge_table
     if (table.counts > 2).any():
         return False
+    # The last half-edge of each interior edge's run in by_edge.
+    last = np.cumsum(table.counts, dtype=np.int32)[table.counts == 2] - 1
+    h1, h2 = table.by_edge[last - 1], table.by_edge[last]
+    del last
+    # Interior edge (a, b, odd): the orientations of a and b differ by odd,
+    # and a <= b, since the ids in a run increase.
     forward = table.forward.ravel()
-    first = (np.cumsum(table.counts) - table.counts)[table.counts == 2]
-    h1, h2 = table.by_edge[first], table.by_edge[first + 1]
-    # Interior edge (a, b, odd): the orientations of a and b differ by odd.
     a, b, odd = h1 // 3, h2 // 3, forward[h1] == forward[h2]
-    link = 2 * np.arange(mesh.triangle_count, dtype=np.int64)
+    del h1, h2
+    joining = b - a == 1  # the edges between triangles b - 1 and b
+    joined = np.zeros(mesh.triangle_count, dtype=bool)
+    joined[b[joining]] = True
+    run = np.cumsum(~joined, dtype=np.int32) - 1
+    # A triangle may join its predecessor by more than one edge; whichever
+    # write wins, the others are checked as self loops.
+    flip = np.zeros_like(joined)
+    flip[b[joining]] = odd[joining]
+    flip = np.bitwise_xor.accumulate(flip)
+    odd ^= flip[a]
+    odd ^= flip[b]
+    a, b = run[a], run[b]
+    link = 2 * np.arange(len(joined) - np.count_nonzero(joined), dtype=np.int32)
+    del joining, joined, run, flip
+    loop = a == b
+    if odd[loop].any():
+        return False
+    a, b, odd = a[~loop], b[~loop], odd[~loop]
+    del loop
     while len(a):
         la, lb = link[a], link[b]
         a, b, odd = la >> 1, lb >> 1, odd ^ ((la ^ lb) & 1)
@@ -418,11 +460,15 @@ def boundary_winding_angles(mesh: ImmersedMobiusMesh) -> tuple[float, float]:
 def max_edge_length(mesh: ImmersedMobiusMesh) -> float:
     """The square root of the largest squared edge length; 0.0 without edges."""
     a, b = mesh._edge_table.edges.T
-    x, y, z = mesh.vertices.T
-    dx, dy, dz = x[a] - x[b], y[a] - y[b], z[a] - z[b]
-    # (dx*dx + dy*dy) + dz*dz is the order in which sum(axis=1) adds a row,
-    # and the root is monotone, so this is the longest edge length to the bit.
-    return float(np.sqrt((dx * dx + dy * dy + dz * dz).max(initial=0.0)))
+    # ((0 + dx*dx) + dy*dy) + dz*dz, one coordinate at a time, is the order
+    # in which sum(axis=1) adds a row, and the root is monotone, so this is
+    # the longest edge length to the bit.
+    length2 = np.zeros(len(a))
+    for column in mesh.vertices.T:
+        d = column[a] - column[b]
+        d *= d
+        length2 += d
+    return float(np.sqrt(length2.max(initial=0.0)))
 
 
 def _core_multiplicity(mesh: ImmersedMobiusMesh, s: SweepParams) -> int:
@@ -849,12 +895,16 @@ def _rows(tag: str, values: np.ndarray, slots: Callable[[np.ndarray], _Slots]) -
     fill(cells[..., :width])
     cells[:, :-1, width] = ord(" ")
     cells[:, -1, width] = ord("\n")
-    # Drop the 0 pad bytes, with each printed row in place of its slots.
+    # Copy the buffer out once and free it with the slots' digits; then
+    # drop the 0 pad bytes, with each printed row in place of its slots.
+    stride, raw = buffer.shape[1], buffer.tobytes()
+    del fill, buffer, cells
     pieces, start = [], 0
     for row, text in printed:
-        pieces += [buffer[start:row].tobytes().translate(None, b"\0"), lead + text]
+        pieces += [raw[start * stride:row * stride].translate(None, b"\0"), lead + text]
         start = row + 1
-    pieces.append(buffer[start:].tobytes().translate(None, b"\0"))
+    pieces.append(raw[start * stride:].translate(None, b"\0"))
+    del raw
     return b"".join(pieces).decode("ascii")
 
 
@@ -933,10 +983,14 @@ def parse_mesh_text(text: str) -> tuple[np.ndarray, np.ndarray]:
     /texture/normal references.  OBJ skips other lines and trailing #
     comments; an OFF body has none, and nothing may follow its counted rows.
 
-    Each block of rows is read by one np.loadtxt over one text stream, so
-    no line becomes a Python object outside numpy's reader.  An OFF file
-    is one stream: its header lines, then its vertex and face rows, split
-    by max_rows.  An OBJ file is scanned in numpy over its bytes: a line's
+    Each block of rows is read by one np.loadtxt over a UTF-8 byte buffer
+    read as text lines (_text_lines), so no line becomes a Python object
+    outside numpy's reader, and the buffer holds one byte per character of
+    a plain-ASCII file where a str stream would hold four.  numpy still
+    gets str lines, so a number, a blank and an error message read as in
+    the text.  An OFF file is one stream: its header lines, then its
+    vertex and face rows, split by max_rows.  An OBJ file is scanned in
+    numpy over its bytes, with int32 line offsets below 2 GiB: a line's
     tag is its first nonblank byte when a blank or the end of the line
     follows it.  The "v" lines and the "f" lines are each gathered into
     one block, one slice per run of consecutive lines, so the blocks of an
@@ -951,8 +1005,17 @@ def parse_mesh_text(text: str) -> tuple[np.ndarray, np.ndarray]:
     return _parse_obj(text)
 
 
+def _text_lines(raw: bytes) -> io.TextIOWrapper:
+    """The UTF-8 bytes raw as a stream of str lines, each ending at "\n",
+    "\r" or "\r\n" and read as "\n"; surrogatepass lets the bytes of any
+    str read back as that str."""
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8",
+                            errors="surrogatepass", newline=None)
+
+
 def _parse_off(text: str) -> tuple[np.ndarray, np.ndarray]:
-    stream = io.StringIO(text, newline=None)  # reads "\r" and "\r\n" as "\n"
+    raw = text.encode("utf-8", "surrogatepass")
+    stream = _text_lines(raw)
     header = list(islice(filter(str.strip, stream), 2))  # "OFF", then the counts
     counts = header[1].split() if len(header) > 1 else []
     if len(counts) < 2:
@@ -961,12 +1024,14 @@ def _parse_off(text: str) -> tuple[np.ndarray, np.ndarray]:
     _check_triangle_budget(n_faces, "mesh file has")
     # A negative count reads no rows and fails the length check below.
     vertices = _load_rows(stream, max(n_verts, 0), usecols=(0, 1, 2))
-    face_start = stream.tell()
     try:
         faces = _load_rows(stream, max(n_faces, 0), dtype=np.int32, usecols=(0, 1, 2, 3))
     except ValueError:
-        stream.seek(face_start)
-        if any(len(row.split()) < 4 for row in islice(filter(str.strip, stream), n_faces)):
+        # A text stream cannot tell() once iterated: read the face rows
+        # again, past the header and the vertex rows.
+        skip = 2 + max(n_verts, 0)
+        face_rows = islice(filter(str.strip, _text_lines(raw)), skip, skip + n_faces)
+        if any(len(row.split()) < 4 for row in face_rows):
             raise ValueError(_NOT_TRIANGLES) from None
         raise
     if len(vertices) != n_verts or len(faces) != n_faces:
@@ -978,7 +1043,7 @@ def _parse_off(text: str) -> tuple[np.ndarray, np.ndarray]:
     return vertices, np.ascontiguousarray(faces[:, 1:])
 
 
-def _load_rows(stream: io.StringIO, rows: int, **kwargs) -> np.ndarray:
+def _load_rows(stream: io.TextIOWrapper, rows: int, **kwargs) -> np.ndarray:
     """np.loadtxt over the next `rows` nonblank lines of stream; an OFF
     body has no comments."""
     with warnings.catch_warnings():
@@ -992,10 +1057,45 @@ def _parse_obj(text: str) -> tuple[np.ndarray, np.ndarray]:
     raw = text.encode()
     if b"\r" in raw:
         raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    raw += b"\n"  # so that every line ends in one
+    if not raw.endswith(b"\n"):
+        raw += b"\n"  # so that every line ends in one
+    # Each block is one slice of raw per run of its lines, gathered once
+    # the scan's arrays are gone.
+    vertex_rows, face_rows = (b"".join([raw[begin:end] for begin, end in runs])
+                              for runs in _obj_line_runs(raw))
+    del raw
+    vertices = np.loadtxt(_text_lines(vertex_rows), usecols=(1, 2, 3),
+                          comments="#", ndmin=2)
+    del vertex_rows
+    if b"/" in face_rows:  # drop the /texture/normal references of face indices
+        face_rows = re.sub(r"(?<=\S)/\S*", "", face_rows.decode()).encode()
+    try:
+        faces = np.loadtxt(_text_lines(face_rows), dtype=_OBJ_FACE, comments="#", ndmin=1)
+    except ValueError:
+        rows = face_rows.decode().splitlines()
+        if any(len(row.split("#", 1)[0].split()) != 4 for row in rows):
+            raise ValueError(_NOT_TRIANGLES) from None
+        raise
+    return vertices, faces["index"] - 1
+
+
+_SCAN_BYTES = 1 << 20  # bytes of an OBJ file searched for "\n" at a time
+
+
+def _obj_line_runs(raw: bytes) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The (begin, end) byte offsets of each run of consecutive "v" lines
+    and of "f" lines in raw, whose every line ends in "\n", once the face
+    count fits the budget."""
     data = np.frombuffer(raw, np.uint8)
-    ends = np.flatnonzero(data == ord("\n"))
-    starts = np.concatenate([[0], ends[:-1] + 1])
+    # Offsets go up to len(raw), which int32 holds below 2 GiB.
+    offset = np.int32 if len(raw) < 2**31 else np.int64
+    ends = np.concatenate([
+        np.flatnonzero(data[k:k + _SCAN_BYTES] == ord("\n")).astype(offset) + k
+        for k in range(0, len(data), _SCAN_BYTES)
+    ])
+    starts = np.empty_like(ends)  # raw ends in "\n", so ends is not empty
+    starts[0] = 0
+    np.add(ends[:-1], 1, out=starts[1:])
     first = starts.copy()  # each line's first nonblank byte, or its "\n"
     indented = np.flatnonzero(np.isin(data[starts], _BLANKS))
     if len(indented):  # move each to the end of its run of blanks
@@ -1011,24 +1111,11 @@ def _parse_obj(text: str) -> tuple[np.ndarray, np.ndarray]:
     if not n_faces or not is_vertex.any():
         raise ValueError("not an OFF or OBJ triangle mesh")
 
-    def gather(lines: np.ndarray) -> str:
-        """The given lines, one slice of raw per run of consecutive lines."""
+    def runs(lines: np.ndarray) -> list[tuple[int, int]]:
         bounds = np.flatnonzero(np.diff(lines, prepend=False, append=False))
-        runs = zip(starts[bounds[::2]].tolist(), (ends[bounds[1::2] - 1] + 1).tolist())
-        return b"".join([raw[begin:end] for begin, end in runs]).decode()
+        return list(zip(starts[bounds[::2]].tolist(), (ends[bounds[1::2] - 1] + 1).tolist()))
 
-    vertices = np.loadtxt(io.StringIO(gather(is_vertex)), usecols=(1, 2, 3),
-                          comments="#", ndmin=2)
-    face_rows = gather(is_face)
-    if "/" in face_rows:  # drop the /texture/normal references of face indices
-        face_rows = re.sub(r"(?<=\S)/\S*", "", face_rows)
-    try:
-        faces = np.loadtxt(io.StringIO(face_rows), dtype=_OBJ_FACE, comments="#", ndmin=1)
-    except ValueError:
-        if any(len(row.split("#", 1)[0].split()) != 4 for row in face_rows.splitlines()):
-            raise ValueError(_NOT_TRIANGLES) from None
-        raise
-    return vertices, faces["index"] - 1
+    return runs(is_vertex), runs(is_face)
 
 
 def rebuild_for_file(

@@ -34,6 +34,16 @@ def small_mesh(p, q, theta=None, chord=3):
     return mobius.build_mobius(params), params
 
 
+def traced_peak(fn, *args):
+    """The tracemalloc peak, in bytes, of one call fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 # --- independent intersection oracle ----------------------------------------
 
 
@@ -331,6 +341,39 @@ def klein_bottle_grid(n=4):
             c, d = vid(i + 1, j + 1), vid(i, j + 1)
             triangles += [[a, b, c], [a, c, d]]
     return np.array(triangles, dtype=np.int32)
+
+
+def reordered(triangles, block, rng):
+    """The triangles cut into blocks of `block` consecutive ones, the blocks
+    shuffled and about half of them reversed, then about half of the
+    triangles reversed: a neighbour t - 1 of t survives only within a
+    block, so block 1 is a plain shuffle."""
+    blocks = [triangles[k:k + block] for k in range(0, len(triangles), block)]
+    tris = np.concatenate([
+        blocks[k][::-1] if rng.random() < 0.5 else blocks[k]
+        for k in rng.permutation(len(blocks))
+    ])
+    flip = rng.random(len(tris)) < 0.5
+    tris[flip] = tris[flip][:, ::-1]
+    return tris
+
+
+def surfaces():
+    """Closed surfaces, swept bands, a band cut open into a strip, and the
+    five-triangle Moebius band, whose triangles i, i + 1 share an edge for
+    every i, its last closing the twist onto its first."""
+    band, params = small_mesh(2, 3, theta=24)
+    p1_band, p1_params = small_mesh(1, -3, theta=16, chord=4)
+    return {
+        "five-triangle-band": np.array([[i, (i + 1) % 5, (i + 2) % 5] for i in range(5)],
+                                       dtype=np.int32),
+        "torus": SEVEN_VERTEX_TORUS,
+        "projective-plane": SIX_VERTEX_RP2,
+        "klein-bottle": klein_bottle_grid(),
+        "band": band.triangles,
+        "p1-band": p1_band.triangles,
+        "strip": cut_open(p1_band, p1_params).triangles,
+    }
 
 
 # --- per-line mesh-file reference ------------------------------------------
@@ -867,25 +910,35 @@ class TestVerification:
         # at once would take about 200 MB; the scan expands the runs of one
         # chunk of blocks at a time and splits only the pairs it keeps.
         mesh, params = small_mesh(3, 5, theta=128, chord=26)
-        tracemalloc.start()
-        try:
-            mobius.self_intersection_points(mesh, params)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2**20
+        assert traced_peak(mobius.self_intersection_points, mesh, params) < 32 * 2**20
 
     def test_verify_memory_is_bounded_by_crossing_batches(self):
         # 76,800 triangles and 61,440 hit rows; holding every box survivor
         # and every triangle's corners at once peaks at 40 MB.
         mesh, params = small_mesh(5, -9, theta=512, chord=16)
-        tracemalloc.start()
-        try:
-            mobius.verify_mesh(mesh, params)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 24 * 2**20
+        assert traced_peak(mobius.verify_mesh, mesh, params) < 24 * 2**20
+
+    # The shape of the benchmark's band files: 90,112 triangles, 49,152
+    # vertices, 3.6 MB of OFF or 3.7 MB of OBJ text.
+    @pytest.mark.parametrize("fmt", ["off", "obj"])
+    def test_parse_memory_is_bounded_by_text_length(self, fmt):
+        # A str stream holds four bytes per character, 5.0-5.2 times the
+        # text; the UTF-8 byte buffers hold one.
+        mesh, _ = small_mesh(1, 3, theta=4096, chord=12)
+        text = mobius.export_mesh(mesh, fmt)
+        assert traced_peak(mobius.parse_mesh_text, text) <= 3.5 * len(text)
+
+    def test_edge_table_memory_per_triangle(self):
+        # Holding heads, lo and hi through the sort peaks at 131 B.
+        mesh, _ = small_mesh(1, 3, theta=4096, chord=12)
+        peak = traced_peak(mobius._build_edge_table, mesh.triangles, mesh.vertex_count)
+        assert peak <= 125 * mesh.triangle_count
+
+    def test_orientation_memory_per_triangle(self):
+        # A union-find over the triangles, not their runs, peaks at 134 B.
+        mesh, _ = small_mesh(1, 3, theta=4096, chord=12)
+        mesh._edge_table  # built before the trace: only the check counts
+        assert traced_peak(mobius.is_orientable, mesh) <= 105 * mesh.triangle_count
 
     def test_report_carries_tolerance(self):
         mesh, params = small_mesh(2, 3, theta=24)
@@ -1073,6 +1126,19 @@ class TestEdgeTable:
         edges = mesh.boundary_edges
         assert mobius._walk_cycles(edges) == reference_walk_cycles(edges)
 
+    # Orientation contracts runs of consecutive neighbours first; any
+    # triangle order, whole runs, broken runs or none, must not matter.
+    @settings(max_examples=100, deadline=None)
+    @given(surface=st.sampled_from(sorted(surfaces())), block=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1))
+    @example(surface="klein-bottle", block=1, seed=1)
+    @example(surface="band", block=1, seed=2)
+    @example(surface="five-triangle-band", block=5, seed=3)
+    def test_any_triangle_order_matches_brute_force_reference(self, surface, block, seed):
+        tris = reordered(surfaces()[surface], block, np.random.default_rng(seed))
+        mesh = ImmersedMobiusMesh(vertices=np.zeros((tris.max() + 1, 3)), triangles=tris)
+        assert_topology_matches_reference(mesh)
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_triangle_soup_matches_brute_force_reference(self, data):
@@ -1195,6 +1261,34 @@ MESH_FILE_CASES = [
 ]
 
 
+# (text, None when parse_mesh_text must give the per-line reference's
+# arrays, else the exact ValueError message it must raise).  The messages
+# are numpy's and Python's own, each naming the text's characters as they
+# are: a reader that handed numpy raw bytes would garble the "é" and split
+# no number at a no-break space.
+ENCODING_CASES = [
+    pytest.param("# fait à Zürich\n" + _OBJ_TRIANGLE + "f 1 2 3\n", None,
+                 id="obj-utf8-comment"),
+    pytest.param("v 0 0 0\nv 1é 0 0\nv 0 1 0\nf 1 2 3\n",
+                 "could not convert string '1é' to float64 at row 1, column 2.",
+                 id="obj-accent-in-number"),
+    pytest.param("OFF\n3é 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
+                 "invalid literal for int() with base 10: '3é'", id="off-accent-in-count"),
+    pytest.param("v 0 0 0\rv 1 0 0\rv 0 1 0\rf 1 2 3\r", None, id="obj-cr-only"),
+    pytest.param("OFF\r3 1 0\r0 0 0\r1 0 0\r0 1 0\r3 0 1 2\r", None, id="off-cr-only"),
+    pytest.param("v 0\xa00\xa00\nv 1\xa00 0\nv 0 1\xa00\nf 1\xa02\xa03\n", None,
+                 id="obj-no-break-spaces"),
+    pytest.param("OFF\n3\xa01\xa00\n0\xa00\xa00\n1 0\xa00\n0 1 0\n3\xa00\xa01\xa02\n", None,
+                 id="off-no-break-spaces"),
+    pytest.param(_OBJ_TRIANGLE + "v 1 1 0\nf 1 2 3 4\n", _NOT_TRIANGLES, id="obj-quad"),
+    pytest.param("OFF\n4 1 0\n0 0 0\n1 0 0\n0 1 0\n1 1 0\n4 0 1 3 2\n", _NOT_TRIANGLES,
+                 id="off-quad"),
+    pytest.param(_OFF_TRIANGLE + "3 0 1 x\n",
+                 "could not convert string 'x' to int32 at row 0, column 4.",
+                 id="off-bad-face-number"),
+]
+
+
 class TestMeshFormats:
     def _tiny_mesh(self):
         return ImmersedMobiusMesh(
@@ -1294,6 +1388,20 @@ class TestMeshFormats:
             assert_same_arrays(got, want)
             assert_same_arrays(got, mobius.parse_mesh_text(mobius.export_mesh(mesh, fmt)))
 
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_obj_scan_does_not_depend_on_chunk_size(self, chunk, data):
+        # The OBJ scan looks for line ends _SCAN_BYTES at a time: chunks of
+        # 1 byte end at every byte, of 7 and 64 bytes inside lines.
+        mesh, _ = draw_small_sweep(data)
+        rnd = data.draw(st.randoms(use_true_random=False), label="layout")
+        text = relaid_mesh_text(rnd, mobius.export_mesh(mesh, "obj"), "obj")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mobius, "_SCAN_BYTES", chunk)
+            got = mobius.parse_mesh_text(text)
+        assert_same_arrays(got, reference_parse_mesh_text(text))
+
     def test_wide_value_widens_its_own_row(self):
         # One value printed by Python's "%.9f" (311 characters for 1e300)
         # must not widen the slots of the other rows.
@@ -1360,6 +1468,16 @@ class TestMeshFormats:
         assert_same_arrays(got, expected)
         if reference_agrees:
             assert_same_arrays(got, reference_parse_mesh_text(text))
+
+    @pytest.mark.parametrize("text, message", ENCODING_CASES)
+    def test_reads_text_as_the_reference_does(self, text, message):
+        if message is None:
+            assert_same_arrays(mobius.parse_mesh_text(text), reference_parse_mesh_text(text))
+            return
+        with pytest.raises(ValueError) as raised:
+            mobius.parse_mesh_text(text)
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == message
 
     @pytest.mark.parametrize("vertex_count, face_count", [
         (144, 193),  # odd F, though the other counts would fit
