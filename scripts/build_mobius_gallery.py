@@ -5,9 +5,9 @@ Runs ``crosscap build-mobius`` for each (p, q) pair, which writes one OFF
 file and prints its verification report: Euler characteristic, boundary
 count, orientability, boundary class, core sheet count, and how far the
 mesh's double points stray from the core circle, and the verdict
-``certified: yes`` or ``certified: no (<failed checks>)``.  Stops at the
-first command that fails, an uncertified band included, and exits with its
-code.  Usage:
+``certified: yes`` or ``certified: no (...)`` with each failed check's
+measured and expected value.  Stops at the first command that fails, an
+uncertified band included, and exits with its code.  Usage:
 
     python scripts/build_mobius_gallery.py --out-dir meshes --theta-steps 256
 """

@@ -91,18 +91,22 @@ def _cmd_gaps(args: argparse.Namespace) -> _Result:
 
 
 def _mesh_report_lines(report: mobius.MeshVerificationReport) -> list[str]:
-    return [
-        f"euler_characteristic: {report.euler_characteristic}",
-        f"boundary_components: {report.boundary_component_count}",
-        f"orientable: {'yes' if report.orientable else 'no'}",
-        f"boundary_class: ({report.boundary_class[0]}, {report.boundary_class[1]})",
-        f"core_multiplicity: {report.core_multiplicity}",
-        "max_offcore_selfintersection_distance: "
-        f"{report.max_offcore_selfintersection_distance:.3e} "
-        f"(tolerance {report.tolerance:.3e})",
-        "certified: yes" if report.certified
-        else f"certified: no ({', '.join(report.failed_checks)})",
-    ]
+    def shown(value) -> str:  # an int, a bool or an (a, b) class
+        return ("yes" if value else "no") if isinstance(value, bool) else str(value)
+
+    lines, missed = [], []
+    for name, measured, expected, passed in report.checks:
+        label = "boundary_components" if name == "boundary_component_count" else name
+        if isinstance(measured, float):  # a bound, not a value to equal
+            lines.append(f"{label}: {measured:.3e} (tolerance {expected:.3e})")
+            miss = f"{label} {measured:.3e} > tolerance {expected:.3e}"
+        else:
+            lines.append(f"{label}: {shown(measured)}")
+            miss = f"{label} {shown(measured)} != {shown(expected)}"
+        if not passed:
+            missed.append(miss)
+    return [*lines, f"certified: no ({', '.join(missed)})" if missed
+            else "certified: yes"]
 
 
 def _cmd_build_mobius(args: argparse.Namespace) -> _Result:

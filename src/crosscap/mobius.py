@@ -32,7 +32,7 @@ import io
 import os
 import re
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from math import gcd, inf, pi
@@ -267,27 +267,41 @@ def build_mobius(s: SweepParams) -> ImmersedMobiusMesh:
     return ImmersedMobiusMesh(vertices=vertices, triangles=triangles)
 
 
+class Check(NamedTuple):
+    name: str
+    measured: object
+    expected: object
+    passed: bool
+
+
 @dataclass(frozen=True)
 class MeshVerificationReport:
-    euler_characteristic: int
-    boundary_component_count: int
-    orientable: bool
-    boundary_class: tuple[int, int]
-    max_offcore_selfintersection_distance: float
-    core_multiplicity: int
-    failed_checks: tuple[str, ...]
+    checks: tuple[Check, ...]
     tolerance: float
+
+    def __getattr__(self, name: str):
+        # Each check's measured value reads as the attribute of its name.
+        for check in self.__dict__.get("checks", ()):
+            if check.name == name:
+                return check.measured
+        raise AttributeError(name)
+
+    @property
+    def failed_checks(self) -> tuple[str, ...]:
+        return tuple(check.name for check in self.checks if not check.passed)
 
     @property
     def certified(self) -> bool:
         return not self.failed_checks
 
     def to_dict(self) -> dict:
-        data = asdict(self)
-        tolerance = data.pop("tolerance")  # kept last
-        data.update(boundary_class=list(self.boundary_class),
-                    failed_checks=list(self.failed_checks), certified=self.certified)
-        return {**data, "tolerance": tolerance}
+        def plain(value):
+            return list(value) if isinstance(value, tuple) else value
+
+        return {**{check.name: plain(check.measured) for check in self.checks},
+                "expected": {check.name: plain(check.expected) for check in self.checks},
+                "failed_checks": list(self.failed_checks),
+                "certified": self.certified, "tolerance": self.tolerance}
 
 
 def _check_structure(mesh: ImmersedMobiusMesh) -> None:
@@ -782,15 +796,12 @@ def verify_mesh(
 ) -> MeshVerificationReport:
     """Certify that the mesh is the swept (2p, q) band of s.
 
-    Measures the abstract mesh (Euler characteristic, boundary cycles,
-    orientability) and the ambient geometry (boundary winding, sheets
-    through the core, self-intersection scan), and names in failed_checks
-    each value that misses the band's: chi 0, one boundary cycle,
-    nonorientable, class (2p, q), p core sheets, and no double point
-    farther than tol from the core circle.  With tol=None the tolerance is
-    three times the longest mesh edge, a loose bound: the double points of
-    the swept bands stay hundreds of times closer.  The report carries the
-    tol used.
+    The report holds one Check per entry of the list at the end: the
+    measured value, the band's value and whether it passed.  The last
+    check bounds how far a double point strays from the core circle by
+    tol.  With tol=None the tolerance is three times the longest mesh edge,
+    a loose bound: the double points of the swept bands stay hundreds of
+    times closer.  The report carries the tol used.
     """
     if tol is not None and not 0 < tol < inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -812,27 +823,17 @@ def verify_mesh(
     distances = distance_to_core_circle(points)
     max_offcore = float(distances.max(initial=0.0))
 
-    chi = euler_characteristic(mesh)
-    orientable = is_orientable(mesh)
-    core = _core_multiplicity(mesh, s)
-    passed = {
-        "euler_characteristic": chi == 0,
-        "boundary_component_count": len(cycles) == 1,
-        "orientable": not orientable,
-        "boundary_class": (longitudinal, meridional) == (2 * s.p, s.q),
-        "core_multiplicity": core == s.p,
-        "max_offcore_selfintersection_distance": max_offcore <= tol,
-    }
-    return MeshVerificationReport(
-        euler_characteristic=chi,
-        boundary_component_count=len(cycles),
-        orientable=orientable,
-        boundary_class=(longitudinal, meridional),
-        max_offcore_selfintersection_distance=max_offcore,
-        core_multiplicity=core,
-        failed_checks=tuple(name for name, ok in passed.items() if not ok),
-        tolerance=tol,
-    )
+    equal = [  # each passes when the measured value equals the band's
+        ("euler_characteristic", euler_characteristic(mesh), 0),
+        ("boundary_component_count", len(cycles), 1),
+        ("orientable", is_orientable(mesh), False),
+        ("boundary_class", (longitudinal, meridional), (2 * s.p, s.q)),
+        ("core_multiplicity", _core_multiplicity(mesh, s), s.p),
+    ]
+    checks = [Check(name, got, want, got == want) for name, got, want in equal]
+    checks.append(Check("max_offcore_selfintersection_distance", max_offcore, tol,
+                        max_offcore <= tol))
+    return MeshVerificationReport(checks=tuple(checks), tolerance=tol)
 
 
 # --- mesh file formats ------------------------------------------------------

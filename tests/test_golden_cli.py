@@ -42,6 +42,8 @@ CASES = [
     {"argv": _MESH_OFF[:-1] + ["{tmp}/band.off", "--format", "json"]},
     {"argv": _MESH_OFF[:-1] + ["{tmp}/band.obj"]},
     {"argv": _MESH_OFF[:-1] + ["{tmp}/band.obj", "--format", "json"]},
+    {"argv": _MESH_OFF + ["--tol", "1e-6"]},
+    {"argv": _MESH_OFF + ["--tol", "1e-6", "--format", "json"]},
     {"argv": ["build-mobius", "--p", "1", "--q", "3", "--theta-steps", "16",
               "--chord-steps", "3", "--out", "{tmp}/band.mesh", "--format", "obj",
               "--tol", "0.5"]},
@@ -113,7 +115,7 @@ def test_golden_holds_exactly_the_cases():
 def test_golden_covers_every_command():
     commands = {case["argv"][0] for case in CASES}
     assert commands == set(cli._COMMANDS)
-    assert {0, 1, 2} <= {entry["exit"] for entry in json.loads(GOLDEN.read_text())}
+    assert {0, 1, 2, 3} <= {entry["exit"] for entry in json.loads(GOLDEN.read_text())}
 
 
 if __name__ == "__main__":

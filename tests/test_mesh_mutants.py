@@ -68,6 +68,12 @@ def spike(m):
     return mutate
 
 
+def zero_length_chord(s, vertices, monkeypatch):
+    """Move vertex (10, 0, 0) onto (10, 0, 1): the chord's first segment
+    has length zero."""
+    vertices[vertex_id(s, 10, 0, 0)] = vertices[vertex_id(s, 10, 0, 1)]
+
+
 def quad_corners(s):
     """Vertices a, b, c, d = (10, 0, 5), (11, 0, 5), (10, 0, 6), (11, 0, 6)
     of one quad, whose triangles are (a, b, d) and (a, d, c)."""
@@ -107,6 +113,7 @@ ROWS = [
       for edges in (2.5, 3.0, 3.5)],
     ("coplanar-fold", 15, "immersion", (2, 3, 64, 16), coplanar_fold),
     ("through-link", 15, "immersion", (2, 3, 64, 16), through_link),
+    ("zero-length-chord", 15, "immersion", (2, 3, 64, 8), zero_length_chord),
     *[(f"strand-swap-p{base[0]}-over-{len(slices)}", 2, OFFCORE, base, strand_swap(slices))
       for base in ((2, 3, 64, 8), (3, 5, 256, 8)) for slices in ((10,), (10, 11, 12))],
     *[(f"p1-spike-{m}", 4, OFFCORE, (1, 3, 64, 8), spike(m)) for m in (1, 6)],

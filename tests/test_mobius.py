@@ -949,6 +949,27 @@ class TestVerification:
         assert list(report.to_dict())[-3:-1] == ["failed_checks", "certified"]
         assert mobius.verify_mesh(mesh, params, tol=0.5).tolerance == 0.5
 
+    def test_report_reads_one_check_list(self):
+        band, params = small_mesh(2, 3, theta=24)
+        for report in (mobius.verify_mesh(band, params),
+                       mobius.verify_mesh(band, params, tol=1e-6),
+                       mobius.verify_mesh(cut_open(band, params), params)):
+            data = report.to_dict()
+            names = [check.name for check in report.checks]
+            assert list(data["expected"]) == names
+            assert set(names) <= set(data)
+            assert report.failed_checks == tuple(
+                check.name for check in report.checks if not check.passed)
+            for check in report.checks:
+                assert getattr(report, check.name) == check.measured
+        # The cut-open band fails its topology checks; the report says what
+        # each of them expected.
+        missed = {check.name: check.expected for check in report.checks
+                  if not check.passed}
+        assert missed["euler_characteristic"] == 0
+        assert missed["boundary_component_count"] == 1
+        assert missed["orientable"] is False
+
     def test_winding_angles_near_exact_multiples(self):
         mesh, params = small_mesh(2, 3, theta=48)
         theta_total, phi_total = mobius.boundary_winding_angles(mesh)
