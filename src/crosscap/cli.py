@@ -10,7 +10,9 @@ and ``main`` prints the one that ``--format`` asks for.
 Each command imports the modules it runs inside its own body, so a command
 loads only those: ``classify`` loads ``knots`` and ``invariants``,
 ``obstruction`` loads ``words``, and only the mesh commands and ``audit``
-load ``mobius`` and with it numpy.
+load ``mobius`` and with it numpy.  Only those commands load ``dataclasses``
+(and the ``inspect`` it imports) too: the value classes of the light
+commands are written out by hand.
 """
 
 from __future__ import annotations

@@ -10,13 +10,12 @@ more unit of Euler characteristic.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 CHI_IMMERSED = 1  # an immersed projective plane
 
 
-@dataclass(frozen=True)
-class HomologyGapReport:
+class HomologyGapReport(NamedTuple):
     n: int
     surgery_slope: int
     chi_immersed: int
@@ -24,7 +23,7 @@ class HomologyGapReport:
     gap: int
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _require_n(n: int) -> None:

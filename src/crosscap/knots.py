@@ -16,7 +16,6 @@ triviality rule, and a cable's companion must be knotted by it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Optional, TypeVar
 
@@ -36,37 +35,84 @@ class InvalidPresentationError(ValueError):
         self.part = part
 
 
-@dataclass(frozen=True)
-class TorusParams:
+class _Value:
+    """Immutable value: fields in ``__slots__``, set once by ``__init__``.
+
+    Equal only to an instance of the exact same type with equal fields, and
+    hashed, printed, copied and pickled through the field tuple, as a
+    frozen dataclass would be.  Hand-written rather than generated, so the
+    light commands that build these values need not import ``dataclasses``.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._fields()
+
+
+_set = object.__setattr__  # how ``__init__`` fills the fields of a _Value
+
+
+class TorusParams(_Value):
     """Coefficient pair (winding, meridional) of a curve on a torus.
 
     Both entries are nonzero and coprime; curves with a zero coefficient
     are handled by the unknot case.
     """
 
+    __slots__ = ("winding", "meridional")
     winding: int
     meridional: int
 
-    def __post_init__(self) -> None:
-        if self.winding == 0 or self.meridional == 0:
+    def __init__(self, winding: int, meridional: int) -> None:
+        _set(self, "winding", winding)
+        _set(self, "meridional", meridional)
+        if winding == 0 or meridional == 0:
             raise InvalidPresentationError("winding and meridional must be nonzero")
-        if gcd(self.winding, self.meridional) != 1:
+        if gcd(winding, meridional) != 1:
             raise InvalidPresentationError("gcd != 1")
 
     def __str__(self) -> str:
         return f"({self.winding},{self.meridional})"
 
 
-@dataclass(frozen=True)
-class PropertyFlags:
+class PropertyFlags(_Value):
     """Caller-asserted facts about an external knot; None means unknown.
 
     Flags are never computed here: certifying hyperbolicity or sliceness is
     out of scope, so the toolkit simply trusts what it is told.
     """
 
-    hyperbolic: Optional[bool] = None
-    slice: Optional[bool] = None
+    __slots__ = ("hyperbolic", "slice")
+    hyperbolic: Optional[bool]
+    slice: Optional[bool]
+
+    def __init__(
+        self, hyperbolic: Optional[bool] = None, slice: Optional[bool] = None
+    ) -> None:
+        _set(self, "hyperbolic", hyperbolic)
+        _set(self, "slice", slice)
 
     def __str__(self) -> str:
         parts = []
@@ -77,37 +123,43 @@ class PropertyFlags:
         return ", ".join(parts)
 
 
-class KnotPresentation:
+class KnotPresentation(_Value):
     """Base class for the four presentation variants."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Unknot(KnotPresentation):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "unknot"
 
 
-@dataclass(frozen=True)
 class TorusKnot(KnotPresentation):
+    __slots__ = ("params",)
     params: TorusParams
+
+    def __init__(self, params: TorusParams) -> None:
+        _set(self, "params", params)
 
     def __str__(self) -> str:
         return f"torus{self.params}"
 
 
-@dataclass(frozen=True)
 class CableKnot(KnotPresentation):
     """Cable with the given (winding, meridional) pattern over a knotted core."""
 
+    __slots__ = ("params", "companion")
     params: TorusParams
     companion: KnotPresentation
 
-    def __post_init__(self) -> None:
-        if abs(self.params.winding) < 2:
+    def __init__(self, params: TorusParams, companion: KnotPresentation) -> None:
+        _set(self, "params", params)
+        _set(self, "companion", companion)
+        if abs(params.winding) < 2:
             raise InvalidPresentationError("cable winding must satisfy |winding| >= 2")
-        if is_trivial(self.companion):
+        if is_trivial(companion):
             raise InvalidPresentationError("companion must be knotted", ".companion")
 
     def __str__(self) -> str:
@@ -117,15 +169,17 @@ class CableKnot(KnotPresentation):
         )
 
 
-@dataclass(frozen=True)
 class ExternalKnot(KnotPresentation):
     """Opaque nontrivial knot known only by name and asserted flags."""
 
+    __slots__ = ("name", "flags")
     name: str
-    flags: PropertyFlags = PropertyFlags()
+    flags: PropertyFlags
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __init__(self, name: str, flags: PropertyFlags = PropertyFlags()) -> None:
+        _set(self, "name", name)
+        _set(self, "flags", flags)
+        if not name:
             raise InvalidPresentationError("external knot needs a nonempty name")
 
     def __str__(self) -> str:
@@ -241,7 +295,8 @@ class _Parser:
         start = self.pos
         if self.peek() and self.text[self.pos] in "+-":
             self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        # isdecimal, not isdigit: int() refuses digits such as '²'.
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         token = self.text[start:self.pos]
         if not token or token in "+-":
@@ -296,6 +351,8 @@ class _Parser:
             key = self.word().lower()
             if key not in ("hyperbolic", "slice"):
                 raise self.error(f"unknown flag {key!r}")
+            if key in values:
+                raise self.error(f"repeated flag {key!r}")
             self.expect("=")
             val = self.word().lower()
             if val not in ("yes", "no"):

@@ -205,6 +205,7 @@ class TestGrammar:
             ),
             ("external(granny)", ExternalKnot("granny")),
             ("EXTERNAL(k; hyperbolic=no)", ExternalKnot("k", PropertyFlags(hyperbolic=False))),
+            ("torus(\u0663,2)", torus(3, 2)),  # an Arabic-Indic digit three
         ],
     )
     def test_parse(self, text, expected):
@@ -228,10 +229,23 @@ class TestGrammar:
             "external(k; hyperbolic=maybe)",
             "torus(3,5) etc",
             "granny",
+            "torus(\u00b2,3)",  # a superscript two: a digit that int() refuses
+            "external(x; slice=yes, slice=no)",
         ],
     )
     def test_parse_errors(self, bad):
         with pytest.raises(KnotGrammarError):
+            knots.parse_knot(bad)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("torus(\u00b2,3)", "expected an integer at position 6"),
+            ("external(x; slice=yes, slice=no)", "repeated flag 'slice' at position 28"),
+        ],
+    )
+    def test_parse_error_names_its_position(self, bad, message):
+        with pytest.raises(KnotGrammarError, match=message):
             knots.parse_knot(bad)
 
     @pytest.mark.parametrize(

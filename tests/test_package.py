@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # so no other test has imported numpy or a crosscap submodule yet.  Prints
 # one JSON list: per step, its name, its exit code (None for an import),
 # whether numpy was loaded after it, which crosscap submodules were, and
-# whether dataclasses was.
+# which of dataclasses and inspect were.
 _PROBE = """
 import contextlib, io, json, sys, tempfile
 
@@ -25,7 +25,7 @@ steps = []
 def record(name, code):
     loaded = sorted(m for m in sys.modules if m.startswith("crosscap."))
     steps.append([name, code, "numpy" in sys.modules, loaded,
-                  "dataclasses" in sys.modules])
+                  [m for m in ("dataclasses", "inspect") if m in sys.modules]])
 
 import crosscap
 record("import crosscap", None)
@@ -99,15 +99,24 @@ def test_each_command_loads_only_its_modules(argv, modules):
     assert steps[-1][1] == 0
 
 
-def test_obstruction_loads_no_dataclasses():
-    # dataclasses (with inspect) costs about 9 ms of start-up; ``obstruction``
-    # needs neither.  ``classify`` does load it, so the probe can see it.
+def test_light_commands_load_no_dataclasses():
+    # dataclasses, with the inspect it imports, costs about 7 ms of start-up;
+    # no light command needs either, refused inputs included.  The mesh
+    # command does load both, so the probe can see them.
     steps = _probe(
+        ["classify", "--knot", "cable(4,3; torus(2,3))", "--format", "json"],
+        ["gaps", "--k-max", "6", "--format", "json"],
         ["obstruction", "--p", "3", "--q", "5", "--format", "json"],
-        ["classify", "--knot", "torus(4,3)"],
+        ["homology", "--n", "4", "--format", "json"],
+        ["twist", "--chi", "-4", "--n", "2", "--format", "json"],
+        ["classify", "--knot", "torus(4,6)"],
+        ["classify"],
+        ["build-mobius", "--p", "2", "--q", "3", "--theta-steps", "32",
+         "--chord-steps", "4", "--out", "{tmp}/band.off"],
     )
-    assert [(code, dataclasses) for _, code, _, _, dataclasses in steps] == [
-        (None, False), (None, False), (0, False), (0, True),
+    assert [(code, loaded) for _, code, _, _, loaded in steps] == [
+        (None, []), (None, []), (0, []), (0, []), (0, []), (0, []), (0, []),
+        (2, []), (1, []), (0, ["dataclasses", "inspect"]),
     ]
 
 
